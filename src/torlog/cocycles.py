@@ -7,14 +7,17 @@ distinct maximal cones, with entries in the chart ring of the shared face.
 Two pipelines turn the transitions into a matrix-valued 1-cocycle that is
 linear over the cocharacter lattice:
 
-* :func:`atiyah_cocycle` computes  delta(C_{st}) * C_{ts}  by the explicit
-  entrywise sum  A[p][q] = sum_k delta(C_{st}[p][k]) * C_{ts}[k][q];
-* :func:`obstruction_cocycle` computes  C_{st} * delta(C_{ts})  column by
-  column, differentiating after inverting.
+* :func:`atiyah_cocycle` computes  delta(C) * D,  differentiating the
+  transition C = C_{st} before multiplying by its inverse D = C_{ts};
+* :func:`obstruction_cocycle` computes  C * delta(D),  differentiating the
+  inverse first.
 
-The two must be exact negatives of each other, which
-:func:`check_cocycle_pipelines` verifies on every overlap.  The
-frame-adjusted triple identity for the cocycle is checked by
+Both products go through the one matrix product of ``laurent``.  Since
+C * D = 1, the Leibniz rule gives delta(C) * D = -C * delta(D), so the two
+must be exact negatives of each other, which :func:`check_cocycle_pipelines`
+verifies on every overlap.
+
+The frame-adjusted triple identity for the cocycle is checked by
 :func:`check_triple_identity`; splitting (hence existence of a logarithmic
 connection) lives in the companion module ``splitting``.
 """
@@ -29,8 +32,8 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     chart_member,
-    delta_apply,
     matrix_chart_member,
+    matrix_delta,
     matrix_det,
     matrix_inverse_unit,
 )
@@ -150,57 +153,23 @@ class MatrixCocycle:
 
 
 def atiyah_cocycle(data: TransitionData) -> MatrixCocycle:
-    """Derivative-first pipeline: entrywise sums of delta(C_st) against C_ts."""
-    fan = data.fan
-    n = fan.dim
-    r = data.rank
+    """Derivative-first pipeline: delta(C_st) * C_ts for each basis vector."""
     out = {}
     for s, t in data.ordered_pairs():
         C = data.pair(s, t)
         D = data.pair(t, s)
-        per_basis = []
-        for e in _basis(n):
-            rows = []
-            for p in range(r):
-                row = []
-                for q in range(r):
-                    acc = None
-                    for k in range(r):
-                        term = delta_apply(e, C.entries[p][k]) * D.entries[k][q]
-                        acc = term if acc is None else acc + term
-                    row.append(acc)
-                rows.append(row)
-            per_basis.append(LaurentMatrix(rows))
-        out[(s, t)] = tuple(per_basis)
-    return MatrixCocycle(fan, r, out)
+        out[(s, t)] = tuple(matrix_delta(e, C) * D for e in _basis(data.fan.dim))
+    return MatrixCocycle(data.fan, data.rank, out)
 
 
 def obstruction_cocycle(data: TransitionData) -> MatrixCocycle:
-    """Inverse-first pipeline: differentiate C_ts, transport back, column-wise."""
-    fan = data.fan
-    n = fan.dim
-    r = data.rank
+    """Inverse-first pipeline: C_st * delta(C_ts) for each basis vector."""
     out = {}
     for s, t in data.ordered_pairs():
         C = data.pair(s, t)
         D = data.pair(t, s)
-        per_basis = []
-        for e in _basis(n):
-            columns = []
-            for j in range(r):
-                dcol = [delta_apply(e, D.entries[k][j]) for k in range(r)]
-                new_col = []
-                for p in range(r):
-                    acc = None
-                    for k in range(r):
-                        term = C.entries[p][k] * dcol[k]
-                        acc = term if acc is None else acc + term
-                    new_col.append(acc)
-                columns.append(new_col)
-            rows = [[columns[j][p] for j in range(r)] for p in range(r)]
-            per_basis.append(LaurentMatrix(rows))
-        out[(s, t)] = tuple(per_basis)
-    return MatrixCocycle(fan, r, out)
+        out[(s, t)] = tuple(C * matrix_delta(e, D) for e in _basis(data.fan.dim))
+    return MatrixCocycle(data.fan, data.rank, out)
 
 
 def check_cocycle_pipelines(data: TransitionData) -> list[FanCheck]:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 
 IntVec = tuple[int, ...]
 
@@ -25,7 +26,7 @@ def pairing(m: IntVec, v: IntVec) -> int:
     """Perfect pairing <m, v> between character and cocharacter vectors."""
     if len(m) != len(v):
         raise DimensionError(f"pairing needs equal lengths, got {len(m)} and {len(v)}")
-    return sum(a * b for a, b in zip(m, v))
+    return sum(map(mul, m, v))
 
 
 def primitivize(v: IntVec) -> IntVec:
@@ -43,11 +44,11 @@ def primitivize(v: IntVec) -> IntVec:
 
 
 def vec_add(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a: IntVec) -> IntVec:

@@ -1,9 +1,11 @@
 """Sparse Laurent polynomials over exact rationals, graded by the character lattice.
 
-A polynomial is a finite map  exponent -> nonzero Fraction,  the exponent
-being a tuple in M.  The chart ring of a cone sigma is the span of the
-monomials whose exponents pair nonnegatively with every ray generator of
-sigma; the zero cone gives the full Laurent ring.
+A polynomial is a finite map  exponent -> nonzero coefficient,  the exponent
+being a tuple in M and the coefficient exact: an int when it is integral,
+else a Fraction (see :func:`exact`).  Floats are refused.  The chart ring
+of a cone sigma is the span of the monomials whose exponents pair
+nonnegatively with every ray generator of sigma; the zero cone gives the
+full Laurent ring.
 
 The module also carries the logarithmic derivations delta_v (chi^m maps to
 <m,v> chi^m), the Lie bracket on polynomial-coefficient vector fields, and
@@ -14,8 +16,11 @@ matrices whose determinant is a unit (a single monomial term).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .fans import Cone, DimensionError, Fan, IntVec, pairing, vec_add
+
+Coeff = int | Fraction
 
 
 class NotAUnitError(ValueError):
@@ -24,6 +29,50 @@ class NotAUnitError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Determinant vanishes identically."""
+
+
+def exact(c) -> Coeff:
+    """The canonical exact form of a coefficient: int when integral, else Fraction.
+
+    Anything ``Fraction`` accepts is taken, except a float, which would carry
+    a binary rounding error into exact arithmetic; that raises TypeError.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"coefficients are exact; got the float {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(acc: dict) -> dict:
+    """Drop the zeros of a term map and put every coefficient in canonical form."""
+    return {e: c if type(c) is int else exact(c) for e, c in acc.items() if c}
+
+
+def _product_terms(pairs) -> dict:
+    """The term map of  sum(a * b)  over pairs (a, b) of term maps.
+
+    This is the one product kernel: out[e1 + e2] += c1 * c2 over all terms of
+    all pairs, with cancelled terms dropped once at the end.
+    """
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        if not b:
+            continue
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    return _canonical(acc)
+
+
+def _poly(terms: dict) -> "LaurentPoly":
+    """Wrap a term map that is already canonical."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = terms
+    return res
 
 
 class LaurentPoly:
@@ -35,7 +84,7 @@ class LaurentPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c != 0:
                     clean[tuple(exp)] = c
         self.terms = clean
@@ -46,11 +95,11 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponent: IntVec, coeff=1) -> "LaurentPoly":
-        return cls({tuple(exponent): Fraction(coeff)})
+        return cls({tuple(exponent): coeff})
 
     @classmethod
     def const(cls, value, dim: int) -> "LaurentPoly":
-        return cls({(0,) * dim: Fraction(value)})
+        return cls({(0,) * dim: value})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -58,8 +107,9 @@ class LaurentPoly:
     def support(self) -> list[IntVec]:
         return sorted(self.terms)
 
-    def coeff(self, exponent: IntVec) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
+    def coeff(self, exponent: IntVec) -> Coeff:
+        """The coefficient of chi^exponent: int when integral, else Fraction."""
+        return self.terms.get(tuple(exponent), 0)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -68,46 +118,27 @@ class LaurentPoly:
             if s == 0:
                 out.pop(exp, None)
             else:
-                out[exp] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+                out[exp] = s if type(s) is int else exact(s)
+        return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {exp: -c for exp, c in self.terms.items()}
-        return res
+        return _poly({exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = vec_add(e1, e2)
-                s = out.get(exp, 0) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return _poly(_product_terms(((self.terms, other.terms),)))
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return LaurentPoly()
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {exp: c * v for exp, v in self.terms.items()}
-        return res
+        return _poly(_canonical({exp: c * v for exp, v in self.terms.items()}))
 
     def shift(self, exponent: IntVec) -> "LaurentPoly":
         """Multiply by the monomial chi^exponent."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {vec_add(exp, exponent): c for exp, c in self.terms.items()}
-        return res
+        return _poly({vec_add(exp, exponent): c for exp, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -148,9 +179,7 @@ def delta_apply(v: IntVec, F: LaurentPoly) -> LaurentPoly:
         w = pairing(exp, v)
         if w != 0:
             out[exp] = c * w
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.terms = out
-    return res
+    return _poly(_canonical(out))
 
 
 class VField:
@@ -222,6 +251,14 @@ class LaurentMatrix:
         self.entries = rows
 
     @classmethod
+    def _square(cls, rows: tuple) -> "LaurentMatrix":
+        """Wrap a tuple of row tuples that is square by construction."""
+        res = cls.__new__(cls)
+        res.size = len(rows)
+        res.entries = rows
+        return res
+
+    @classmethod
     def identity(cls, r: int, dim: int) -> "LaurentMatrix":
         one = LaurentPoly.const(1, dim)
         zero = LaurentPoly()
@@ -254,20 +291,14 @@ class LaurentMatrix:
         return LaurentMatrix([[-a for a in row] for row in self.entries])
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """Entry (p, q) is one term map built over all k by the product kernel."""
         self._check_size(other)
-        r = self.size
-        cols = list(zip(*other.entries))
-        out = []
+        cols = [[b.terms for b in col] for col in zip(*other.entries)]
+        rows = []
         for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = LaurentPoly()
-                for a, b in zip(row, col):
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return LaurentMatrix(out)
+            left = [a.terms for a in row]
+            rows.append(tuple(_poly(_product_terms(zip(left, col))) for col in cols))
+        return LaurentMatrix._square(tuple(rows))
 
     def scale(self, c) -> "LaurentMatrix":
         return LaurentMatrix([[a.scale(c) for a in row] for row in self.entries])
@@ -290,17 +321,10 @@ class LaurentMatrix:
         )
 
 
-def matrix_add(A: LaurentMatrix, B: LaurentMatrix) -> LaurentMatrix:
-    return A + B
-
-
-def matrix_mul(A: LaurentMatrix, B: LaurentMatrix) -> LaurentMatrix:
-    return A * B
-
-
 def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
     """Apply the logarithmic derivation delta_v to every entry."""
-    return LaurentMatrix([[delta_apply(v, a) for a in row] for row in C.entries])
+    return LaurentMatrix._square(
+        tuple(tuple(delta_apply(v, a) for a in row) for row in C.entries))
 
 
 def _det(C: LaurentMatrix) -> LaurentPoly:

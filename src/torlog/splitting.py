@@ -25,9 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import EquivariantData
-from .cocycles import MatrixCocycle, TransitionData, _basis, atiyah_cocycle, check_triple_identity
+from .cocycles import (
+    MatrixCocycle,
+    TransitionData,
+    _basis,
+    atiyah_cocycle,
+    check_frame_antisymmetry,
+    check_triple_identity,
+)
 from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_neg
-from .laurent import LaurentMatrix, LaurentPoly, chart_member, matrix_delta
+from .laurent import Coeff, LaurentMatrix, LaurentPoly, chart_member, exact, matrix_delta
 
 DEFAULT_WEIGHT_CAP = 3
 _MAX_WEIGHTS = 4000
@@ -121,15 +128,9 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None) -> Spl
     larger affine family.
     """
     cap = _weight_cap(cap)
-    for s, t in sorted(cocycle.pairs):
-        if s > t:
-            continue
-        Cst, Cts = data.pair(s, t), data.pair(t, s)
-        for Mst, Mts in zip(cocycle.pairs[(s, t)], cocycle.pairs[(t, s)]):
-            if Mts != -(Cts * Mst * Cst):
-                raise ValueError(
-                    f"cocycle is not frame-antisymmetric on pair ({s},{t}); refusing to split"
-                )
+    bad = [c.detail for c in check_frame_antisymmetry(cocycle, data) if not c.ok]
+    if bad:
+        raise ValueError(f"cocycle is not frame-antisymmetric on {bad[0]}; refusing to split")
 
     seed, shifts = _seed_and_shifts(cocycle, data)
     last_count = 0
@@ -147,6 +148,13 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None) -> Spl
     if cochain is not None:
         _require_splitting(cochain, cocycle, data)
     return SplitResult(cochain, cap, depth_used, last_count)
+
+
+def _exact_div(c: Coeff, p: Coeff) -> Coeff:
+    """c / p in canonical exact form; ``/`` on two ints would give a float."""
+    if type(c) is int and type(p) is int and c % p == 0:
+        return c // p
+    return exact(Fraction(c, p))
 
 
 def _solve_graded(cocycle, data, weights):
@@ -167,13 +175,13 @@ def _solve_graded(cocycle, data, weights):
                     var_of[(ci, i, j, w)] = len(var_of)
 
     pairs = sorted(p for p in cocycle.pairs if p[0] < p[1])
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    rhs: dict[tuple, list[Fraction]] = {}
+    rows: dict[tuple, dict[int, Coeff]] = {}
+    rhs: dict[tuple, list[Coeff]] = {}
 
     def row_at(key):
         if key not in rows:
             rows[key] = {}
-            rhs[key] = [Fraction(0)] * n
+            rhs[key] = [0] * n
         return rows[key]
 
     for pidx, (s, t) in enumerate(pairs):
@@ -195,7 +203,7 @@ def _solve_graded(cocycle, data, weights):
                             for mc, c in prod.terms.items():
                                 key = (pidx, p, q, vec_add(mc, w))
                                 row = row_at(key)
-                                nv = row.get(var, Fraction(0)) + c
+                                nv = row.get(var, 0) + c
                                 if nv:
                                     row[var] = nv
                                 else:
@@ -207,7 +215,7 @@ def _solve_graded(cocycle, data, weights):
                     var = var_of[(s, i, j, w)]
                     key = (pidx, i, j, w)
                     row = row_at(key)
-                    nv = row.get(var, Fraction(0)) - 1
+                    nv = row.get(var, 0) - 1
                     if nv:
                         row[var] = nv
                     else:
@@ -222,7 +230,7 @@ def _solve_graded(cocycle, data, weights):
                         row_at(key)
                         rhs[key][b] += c
 
-    pivots: dict[int, tuple[dict[int, Fraction], list[Fraction]]] = {}
+    pivots: dict[int, tuple[dict[int, Coeff], list[Coeff]]] = {}
     for key in sorted(rows):
         row = dict(rows[key])
         vec = list(rhs[key])
@@ -230,7 +238,7 @@ def _solve_graded(cocycle, data, weights):
             f = row.pop(var)
             rest, pvec = pivots[var]
             for v2, c2 in rest.items():
-                nv = row.get(v2, Fraction(0)) - f * c2
+                nv = row.get(v2, 0) - f * c2
                 if nv:
                     row[v2] = nv
                 else:
@@ -243,14 +251,14 @@ def _solve_graded(cocycle, data, weights):
             continue
         pivot = min(row)
         coeff = row.pop(pivot)
-        rest = {v2: c2 / coeff for v2, c2 in row.items()}
-        pvec = [x / coeff for x in vec]
+        rest = {v2: _exact_div(c2, coeff) for v2, c2 in row.items()}
+        pvec = [_exact_div(x, coeff) for x in vec]
         # keep earlier pivot rows clean of the new pivot variable
         for other, (orest, ovec) in pivots.items():
             if pivot in orest:
                 f = orest.pop(pivot)
                 for v2, c2 in rest.items():
-                    nv = orest.get(v2, Fraction(0)) - f * c2
+                    nv = orest.get(v2, 0) - f * c2
                     if nv:
                         orest[v2] = nv
                     else:

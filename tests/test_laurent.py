@@ -55,6 +55,28 @@ class TestPolyAlgebra:
         c = LaurentPoly.const(7, 2)
         assert c.coeff((0, 0)) == 7
         assert c.coeff((1, 0)) == 0
+        assert type(c.coeff((1, 0))) is int
+
+    def test_coefficients_are_int_when_integral(self):
+        half = Fraction(1, 2)
+        p = LaurentPoly({(1, 0): Fraction(4, 2), (0, 1): half})
+        assert type(p.coeff((1, 0))) is int and p.coeff((0, 1)) == half
+        assert type(X((1, 0), Fraction(3, 3)).coeff((1, 0))) is int
+        assert type(LaurentPoly.const(Fraction(-6, 3), 2).coeff((0, 0))) is int
+        assert type(p.scale(2).coeff((0, 1))) is int
+        assert type((p + X((0, 1), half)).coeff((0, 1))) is int
+        assert type(delta_apply((0, 2), p).coeff((0, 1))) is int
+        assert type((p * X((0, 0), 2)).coeff((0, 1))) is int
+
+    @pytest.mark.parametrize("make", [
+        lambda: LaurentPoly({(0, 0): 0.5}),
+        lambda: X((1, 0), 0.1),
+        lambda: LaurentPoly.const(1.0, 2),
+        lambda: X((1, 0)).scale(0.5),
+    ])
+    def test_float_coefficients_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
 
     @given(polys2, polys2, polys2)
     def test_ring_axioms(self, p, q, r):
@@ -252,3 +274,70 @@ class TestMatrixCalculus:
         bad = LaurentMatrix.diagonal([X((1, 0)), X((0, -1))])
         assert matrix_chart_member(good, sigma, fan)
         assert not matrix_chart_member(bad, sigma, fan)
+
+
+def reference_product(A: LaurentMatrix, B: LaurentMatrix) -> LaurentMatrix:
+    """Entrywise sum of polynomial products, one temporary sum per term of k."""
+    r = A.size
+    out = []
+    for p in range(r):
+        row = []
+        for q in range(r):
+            acc = LaurentPoly()
+            for k in range(r):
+                acc = acc + A.entries[p][k] * B.entries[k][q]
+            row.append(acc)
+        out.append(row)
+    return LaurentMatrix(out)
+
+
+def canonical(M: LaurentMatrix) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for row in M.entries for f in row for c in f.terms.values())
+
+
+class TestFusedProduct:
+    """The matrix product builds each entry as one term map over all k."""
+
+    COEFFS = [-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3)]
+
+    def draw(self, rng, r):
+        # exponents from a 3x3 box and few coefficient values, so products
+        # collide and cancel often; about a third of the entries are zero
+        def entry():
+            if rng.random() < 0.35:
+                return LaurentPoly()
+            return LaurentPoly({(rng.randint(-1, 1), rng.randint(-1, 1)): rng.choice(self.COEFFS)
+                                for _ in range(rng.randint(1, 3))})
+        return LaurentMatrix([[entry() for _ in range(r)] for _ in range(r)])
+
+    def test_matches_reference_on_random_draws(self):
+        rng = random.Random(404)
+        cancelled = 0
+        for _ in range(150):
+            r = rng.choice([1, 2, 3])
+            A, B = self.draw(rng, r), self.draw(rng, r)
+            fused = A * B
+            assert fused == reference_product(A, B)
+            assert canonical(fused)
+            cancelled += sum(
+                len((A.entries[p][k] * B.entries[k][q]).terms)
+                > len(fused.entries[p][q].terms)
+                for p in range(r) for q in range(r) for k in range(r))
+        assert cancelled > 0
+
+    def test_full_cancellation_leaves_an_empty_entry(self):
+        f, g = X((1, 0), Fraction(1, 2)) + X((0, -1), 3), X((2, 1), -2)
+        zero = LaurentPoly()
+        A = LaurentMatrix([[f, f], [g, zero]])
+        B = LaurentMatrix([[g, zero], [-g, zero]])
+        fused = A * B
+        assert fused == reference_product(A, B)
+        assert fused.entries[0][0].terms == {}
+        assert fused.entries[1][0] == g * g
+
+    def test_integral_fraction_products_are_ints(self):
+        half = LaurentMatrix([[X((0, 0), Fraction(1, 2))]])
+        two = LaurentMatrix([[X((1, 0), 2)]])
+        (prod,), = (half * two).entries
+        assert prod == X((1, 0)) and type(prod.coeff((1, 0))) is int

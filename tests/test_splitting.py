@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from torlog.corpus import (
     dressed_transitions,
     surface_fans,
 )
-from torlog.fans import projective_fan
+from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
 from torlog.laurent import LaurentMatrix, LaurentPoly
 from torlog.splitting import (
     InconsistentSplittingError,
@@ -242,3 +243,61 @@ class TestEquivarianceVerdict:
         assert verdict.status == "fail"
         assert not result.found
         assert any(c.name.startswith("triple_identity") and not c.ok for c in checks)
+
+
+def ladder_fans():
+    return [projective_fan(1), projective_fan(2), product_p1_fan(),
+            hirzebruch_fan(1), hirzebruch_fan(2), projective_fan(3)]
+
+
+def dressed_draw(fan, rank, rng):
+    data = random_equivariant_data(fan, rank, rng)
+    return dressed_transitions(data, random_dressing(fan, rank, rng, factors=1))
+
+
+def coefficients(matrices):
+    return [c for M in matrices for row in M.entries for f in row for c in f.terms.values()]
+
+
+def is_canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestExactFastPath:
+    """Coefficients stay int when integral through the whole pipeline."""
+
+    def test_canonical_coefficients_over_ladder(self):
+        rng = random.Random(91)
+        for fan in ladder_fans():
+            for rank in (1, 2, 3):
+                td = dressed_draw(fan, rank, rng)
+                A = atiyah_cocycle(td)
+                result = split_cocycle(A, td)
+                assert result.found
+                stages = {
+                    "transitions": td.matrices.values(),
+                    "cocycle": [M for mats in A.pairs.values() for M in mats],
+                    "splitting": [M for mats in result.cochain.cones.values() for M in mats],
+                }
+                for stage, mats in stages.items():
+                    bad = [c for c in coefficients(mats) if not is_canonical(c)]
+                    assert not bad, (fan.dim, rank, stage, bad[:3])
+
+    def test_non_unit_pivots_give_a_verified_splitting(self, monkeypatch):
+        quotients = []
+        exact_div = splitting_mod._exact_div
+
+        def spy(c, p):
+            q = exact_div(c, p)
+            quotients.append((c, p, q))
+            return q
+
+        monkeypatch.setattr(splitting_mod, "_exact_div", spy)
+        td = dressed_draw(projective_fan(2), 3, random.Random(5))
+        A = atiyah_cocycle(td)
+        result = split_cocycle(A, td)
+        assert {p for _, p, _ in quotients} - {1, -1}, "draw meets no pivot other than +-1"
+        for c, p, q in quotients:
+            assert is_canonical(q) and q * p == c
+        assert result.found
+        assert verify_splitting(result.cochain, A, td)
