@@ -135,6 +135,15 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
     return checks
 
 
+def evaluate_linear(mats, v: IntVec, rank: int) -> LaurentMatrix:
+    """The value at v of an N-linear matrix family given on the basis: sum v_b * M_b."""
+    acc = LaurentMatrix.zero(rank)
+    for c, M in zip(v, mats):
+        if c:
+            acc = acc + M.scale(c)
+    return acc
+
+
 @dataclass
 class MatrixCocycle:
     """An N-linear matrix 1-cochain on overlaps: one matrix per basis vector."""
@@ -144,12 +153,7 @@ class MatrixCocycle:
     pairs: dict[tuple[int, int], tuple[LaurentMatrix, ...]]
 
     def evaluate(self, s: int, t: int, v: IntVec) -> LaurentMatrix:
-        mats = self.pairs[(s, t)]
-        acc = LaurentMatrix.zero(self.rank)
-        for c, M in zip(v, mats):
-            if c:
-                acc = acc + M.scale(c)
-        return acc
+        return evaluate_linear(self.pairs[(s, t)], v, self.rank)
 
 
 def atiyah_cocycle(data: TransitionData) -> MatrixCocycle:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .bundles import EquivariantData
 from .cocycles import TransitionData
@@ -42,6 +43,12 @@ def _invert_rows(rows) -> list[list[Fraction]]:
     return [row[n:] for row in work]
 
 
+@lru_cache(maxsize=256)
+def _ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a cone's integer ray matrix, computed once per matrix."""
+    return tuple(map(tuple, _invert_rows(rays)))
+
+
 def _require_smooth_full(fan: Fan, cone: Cone):
     if cone.dim != fan.dim:
         raise ValueError("corpus generators need full-dimensional maximal cones")
@@ -55,7 +62,7 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
     """
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
-    inv = _invert_rows(fan.ray_matrix(cone))
+    inv = _ray_inverse(tuple(fan.ray_matrix(cone)))
     target = [-Fraction(ray_values[k]) for k in cone.ray_indices]
     m = [sum(inv[i][j] * target[j] for j in range(len(target))) for i in range(fan.dim)]
     if any(x.denominator != 1 for x in m):
@@ -105,7 +112,7 @@ def chart_monomial(fan: Fan, cone_index: int, rng: random.Random, bound: int = 3
     """A random exponent in the dual semigroup of a smooth full-dimensional cone."""
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
-    inv = _invert_rows(fan.ray_matrix(cone))
+    inv = _ray_inverse(tuple(fan.ray_matrix(cone)))
     if any(x.denominator != 1 for row in inv for x in row):
         raise ValueError("dual basis is not integral; cone is not smooth")
     # columns of the inverse ray matrix form the dual basis of the generators

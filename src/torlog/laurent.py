@@ -50,22 +50,17 @@ def _canonical(acc: dict) -> dict:
     return {e: c if type(c) is int else exact(c) for e, c in acc.items() if c}
 
 
-def _product_terms(pairs) -> dict:
-    """The term map of  sum(a * b)  over pairs (a, b) of term maps.
+def _accumulate(acc: dict, a: dict, b: dict) -> None:
+    """Add the product of the term maps a and b into acc: out[e1 + e2] += c1 * c2.
 
-    This is the one product kernel: out[e1 + e2] += c1 * c2 over all terms of
-    all pairs, with cancelled terms dropped once at the end.
+    This is the one product kernel.  It leaves zeros and non-canonical
+    coefficients in acc; the caller runs :func:`_canonical` once at the end.
     """
-    acc = {}
     get = acc.get
-    for a, b in pairs:
-        if not b:
-            continue
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
-    return _canonical(acc)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
 
 
 def _poly(terms: dict) -> "LaurentPoly":
@@ -128,7 +123,9 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _poly(_product_terms(((self.terms, other.terms),)))
+        acc = {}
+        _accumulate(acc, self.terms, other.terms)
+        return _poly(_canonical(acc))
 
     def scale(self, c) -> "LaurentPoly":
         c = exact(c)
@@ -156,6 +153,9 @@ class LaurentPoly:
             c = self.terms[exp]
             bits.append(f"{c}*x^{list(exp)}")
         return " + ".join(bits)
+
+
+_ZERO = LaurentPoly()  # the shared zero entry of matrix products
 
 
 def chart_member(F: LaurentPoly, sigma: Cone, fan: Fan) -> bool:
@@ -291,13 +291,30 @@ class LaurentMatrix:
         return LaurentMatrix([[-a for a in row] for row in self.entries])
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Entry (p, q) is one term map built over all k by the product kernel."""
+        """Row-sparse product: each nonzero entry k of a left row meets only
+        the nonzero entries of right row k, and entry (p, q) is one term map
+        built by the product kernel.  Zero entries share one empty polynomial.
+        """
         self._check_size(other)
-        cols = [[b.terms for b in col] for col in zip(*other.entries)]
+        right = [[(q, b.terms) for q, b in enumerate(row) if b.terms] for row in other.entries]
         rows = []
         for row in self.entries:
-            left = [a.terms for a in row]
-            rows.append(tuple(_poly(_product_terms(zip(left, col))) for col in cols))
+            accs = {}
+            for a, nonzero in zip(row, right):
+                a = a.terms
+                if not a:
+                    continue
+                for q, b in nonzero:
+                    acc = accs.get(q)
+                    if acc is None:
+                        acc = accs[q] = {}
+                    _accumulate(acc, a, b)
+            out = [_ZERO] * self.size
+            for q, acc in accs.items():
+                terms = _canonical(acc)
+                if terms:
+                    out[q] = _poly(terms)
+            rows.append(tuple(out))
         return LaurentMatrix._square(tuple(rows))
 
     def scale(self, c) -> "LaurentMatrix":

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torlog import splitting as splitting_mod
 from torlog.bundles import connection_form
+from torlog.cli import load_model
 from torlog.cocycles import (
     MatrixCocycle,
     atiyah_cocycle,
+    check_frame_antisymmetry,
+    check_triple_identity,
     transitions_from_one_sided,
 )
 from torlog.corpus import (
@@ -20,8 +24,8 @@ from torlog.corpus import (
     dressed_transitions,
     surface_fans,
 )
-from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
-from torlog.laurent import LaurentMatrix, LaurentPoly
+from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan, vec_add
+from torlog.laurent import LaurentMatrix, LaurentPoly, chart_member
 from torlog.splitting import (
     InconsistentSplittingError,
     MatrixCochain,
@@ -301,3 +305,189 @@ class TestExactFastPath:
             assert is_canonical(q) and q * p == c
         assert result.found
         assert verify_splitting(result.cochain, A, td)
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def reference_solve(cocycle, data, weights):
+    """The full-system solver the root-chart reduction replaced.
+
+    Unknowns are the entries of g_sigma on every maximal cone at the weights
+    of W in chart(sigma), and every overlap s < t contributes the equation
+    C_st g_t C_ts - g_s = A_st, coefficient by coefficient.  Elimination is
+    the same as the library's: rows in sorted key order, pivot min(row),
+    free variables zero.
+    """
+    fan = data.fan
+    n = fan.dim
+    r = data.rank
+    maximal = data.maximal()
+    cone_weights = {}
+    for ci in maximal:
+        cone = fan.cones[ci]
+        cone_weights[ci] = [w for w in weights if chart_member(LaurentPoly.monomial(w), cone, fan)]
+
+    var_of = {}
+    for ci in maximal:
+        for i in range(r):
+            for j in range(r):
+                for w in cone_weights[ci]:
+                    var_of[(ci, i, j, w)] = len(var_of)
+
+    pairs = sorted(p for p in cocycle.pairs if p[0] < p[1])
+    rows = {}
+    rhs = {}
+
+    def row_at(key):
+        if key not in rows:
+            rows[key] = {}
+            rhs[key] = [0] * n
+        return rows[key]
+
+    def add_to(row, var, c):
+        nv = row.get(var, 0) + c
+        if nv:
+            row[var] = nv
+        else:
+            row.pop(var, None)
+
+    for pidx, (s, t) in enumerate(pairs):
+        C = data.pair(s, t)
+        D = data.pair(t, s)
+        for k in range(r):
+            for l in range(r):
+                for p in range(r):
+                    for q in range(r):
+                        prod = C.entries[p][k] * D.entries[l][q]
+                        for w in cone_weights[t]:
+                            for mc, c in prod.terms.items():
+                                add_to(row_at((pidx, p, q, vec_add(mc, w))), var_of[(t, k, l, w)], c)
+        for i in range(r):
+            for j in range(r):
+                for w in cone_weights[s]:
+                    add_to(row_at((pidx, i, j, w)), var_of[(s, i, j, w)], -1)
+        for b in range(n):
+            A = cocycle.pairs[(s, t)][b]
+            for p in range(r):
+                for q in range(r):
+                    for m, c in A.entries[p][q].terms.items():
+                        key = (pidx, p, q, m)
+                        row_at(key)
+                        rhs[key][b] += c
+
+    pivots = {}
+    for key in sorted(rows):
+        row = dict(rows[key])
+        vec = list(rhs[key])
+        for var in [x for x in row if x in pivots]:
+            f = row.pop(var)
+            rest, pvec = pivots[var]
+            for v2, c2 in rest.items():
+                add_to(row, v2, -f * c2)
+            vec = [x - f * y for x, y in zip(vec, pvec)]
+        if not row:
+            if any(vec):
+                return None
+            continue
+        pivot = min(row)
+        coeff = row.pop(pivot)
+        rest = {v2: splitting_mod._exact_div(c2, coeff) for v2, c2 in row.items()}
+        pvec = [splitting_mod._exact_div(x, coeff) for x in vec]
+        for orest, ovec in pivots.values():
+            if pivot in orest:
+                f = orest.pop(pivot)
+                for v2, c2 in rest.items():
+                    add_to(orest, v2, -f * c2)
+                ovec[:] = [x - f * y for x, y in zip(ovec, pvec)]
+        pivots[pivot] = (rest, pvec)
+
+    values = {var: pvec for var, (_, pvec) in pivots.items()}
+    cones = {}
+    for ci in maximal:
+        cones[ci] = tuple(
+            LaurentMatrix([[LaurentPoly({w: values[var_of[(ci, i, j, w)]][b]
+                                         for w in cone_weights[ci]
+                                         if var_of[(ci, i, j, w)] in values})
+                            for j in range(r)] for i in range(r)])
+            for b in range(n))
+    return MatrixCochain(fan, r, cones)
+
+
+def split_both(cocycle, td, monkeypatch):
+    """split_cocycle with the library's solver and with reference_solve."""
+    ours = split_cocycle(cocycle, td)
+    with monkeypatch.context() as m:
+        m.setattr(splitting_mod, "_solve_graded", reference_solve)
+        theirs = split_cocycle(cocycle, td)
+    return ours, theirs
+
+
+def same_search(a, b):
+    return (a.found, a.closure_depth, a.weights_searched) == (
+        b.found, b.closure_depth, b.weights_searched)
+
+
+class TestRootChartReduction:
+    """The gauge-fixed solver against the full-system reference."""
+
+    def test_parity_over_ladder(self, monkeypatch):
+        rng = random.Random(404)
+        for fan in ladder_fans():
+            for rank in (1, 2, 3):
+                td = dressed_draw(fan, rank, rng)
+                A = atiyah_cocycle(td)
+                ours, theirs = split_both(A, td, monkeypatch)
+                assert same_search(ours, theirs), (fan.dim, rank)
+                assert ours.found
+                assert verify_splitting(ours.cochain, A, td)
+                assert verify_splitting(theirs.cochain, A, td)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in MODELS.glob("*.json")))
+    def test_identical_cochains_on_models(self, name, monkeypatch):
+        td = load_model(str(MODELS / f"{name}.json")).transitions
+        if td is None:
+            pytest.skip("model has no transitions block")
+        A = atiyah_cocycle(td)
+        if not all(c.ok for c in check_frame_antisymmetry(A, td)):
+            with pytest.raises(ValueError, match="frame-antisymmetric"):
+                split_cocycle(A, td)
+            return
+        ours, theirs = split_both(A, td, monkeypatch)
+        assert same_search(ours, theirs)
+        if ours.found:
+            assert ours.cochain.cones == theirs.cochain.cones
+
+    @pytest.mark.parametrize("pair", [(4, 5), (4, 6), (5, 6)])
+    def test_broken_triple_identity_is_a_miss(self, pair, monkeypatch):
+        # a constant E added to A_st and C_ts E C_st taken from A_ts keeps the
+        # cochain frame-antisymmetric but breaks the triple identity, which the
+        # reduction rests on: its candidate fails, and that is a miss
+        td = diagonal_transitions(line_bundle_data(projective_fan(2), 1))
+        A = atiyah_cocycle(td)
+        s, t = pair
+        E = LaurentMatrix([[LaurentPoly.const(1, 2)]])
+        pairs = dict(A.pairs)
+        pairs[(s, t)] = (A.pairs[(s, t)][0] + E,) + A.pairs[(s, t)][1:]
+        pairs[(t, s)] = (A.pairs[(t, s)][0] - td.pair(t, s) * E * td.pair(s, t),) + A.pairs[(t, s)][1:]
+        broken = MatrixCocycle(A.fan, A.rank, pairs)
+        assert all(c.ok for c in check_frame_antisymmetry(broken, td))
+        assert not all(c.ok for c in check_triple_identity(broken, td))
+        candidate = splitting_mod._solve_graded(broken, td, [(0, 0)])
+        assert candidate is not None and not verify_splitting(candidate, broken, td)
+        ours, theirs = split_both(broken, td, monkeypatch)
+        assert not ours.found
+        assert (ours.closure_depth, ours.weights_searched) == (0, 1)
+        assert same_search(ours, theirs)
+
+    def test_solver_fault_on_sound_input_raises(self, monkeypatch):
+        td = dressed_draw(projective_fan(2), 2, random.Random(8))
+        A = atiyah_cocycle(td)
+        good = split_cocycle(A, td).cochain
+        bogus = MatrixCochain(
+            td.fan, 2,
+            {ci: tuple(M + LaurentMatrix.identity(2, 2) if ci == 4 else M for M in mats)
+             for ci, mats in good.cones.items()})
+        monkeypatch.setattr(splitting_mod, "_solve_graded", lambda *a: bogus)
+        with pytest.raises(RuntimeError):
+            split_cocycle(A, td)
