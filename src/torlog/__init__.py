@@ -59,6 +59,7 @@ from .laurent import (
     bracket,
     chart_member,
     delta_apply,
+    delta_products,
     matrix_delta,
     matrix_det,
     matrix_inverse_unit,

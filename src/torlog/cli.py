@@ -46,8 +46,6 @@ from .splitting import (
     equivariance_verdict,
 )
 
-COMMANDS = ("validate", "residues", "chern", "cocycle", "theorem-ab", "split", "equivariance")
-
 # fan-check failures that make a model unusable rather than merely imperfect;
 # smoothness is deliberately absent (simplicial non-smooth fans load fine,
 # and the operations that need smoothness say so themselves)
@@ -248,122 +246,148 @@ def _need(model: ModelFile, block: str, command: str):
         raise UsageError(f"command {command!r} needs a {block} block in the model")
 
 
-def run(command: str, model: ModelFile) -> Report:
-    """Dispatch one command against a loaded model."""
-    rep = Report(command)
-    rep.extend(_warning_checks(model))
+def _run_validate(model: ModelFile, rep: Report) -> None:
+    rep.extend(model.fan_checks)
+    if model.bundle is not None:
+        rep.extend(check_compatibility(model.bundle))
+    if model.transitions is not None:
+        rep.extend(validate_transitions(model.transitions))
+    rep.artifacts["fan"] = {
+        "dim": model.fan.dim,
+        "rays": len(model.fan.rays),
+        "cones": len(model.fan.cones),
+        "maximal_cones": sorted(model.fan.maximal_cone_indices()),
+    }
+    if model.name:
+        rep.artifacts["name"] = model.name
 
-    if command == "validate":
-        rep.extend(model.fan_checks)
-        if model.bundle is not None:
-            rep.extend(check_compatibility(model.bundle))
-        if model.transitions is not None:
-            rep.extend(validate_transitions(model.transitions))
-        rep.artifacts["fan"] = {
-            "dim": model.fan.dim,
-            "rays": len(model.fan.rays),
-            "cones": len(model.fan.cones),
-            "maximal_cones": sorted(model.fan.maximal_cone_indices()),
-        }
-        if model.name:
-            rep.artifacts["name"] = model.name
-        return rep
 
-    if command == "residues":
-        _need(model, "bundle", command)
-        data = model.bundle
-        rep.extend(check_compatibility(data))
-        table = {}
-        for ci in sorted(data.weights):
-            cone = model.fan.cones[ci]
-            rs = [residue(data, ci, k) for k in cone.ray_indices]
-            for R in rs:
-                table[f"{ci},{R.ray_index}"] = list(R.entries)
-            try:
-                recovered = recover_weights(model.fan, rs)
-                ok = sorted(recovered) == sorted(data.weights[ci])
-                rep.verdicts.append(
-                    FanCheck(
-                        f"residue_roundtrip[{ci}]",
-                        "pass" if ok else "fail",
-                        "" if ok else "recovered weights differ from stored weights",
-                    )
-                )
-            except UnderdeterminedError as exc:
-                rep.verdicts.append(FanCheck(f"residue_roundtrip[{ci}]", "undetermined", str(exc)))
-        rep.artifacts["residues"] = table
-        return rep
-
-    if command == "chern":
-        _need(model, "bundle", command)
-        data = model.bundle
-        rep.extend(check_compatibility(data))
-        polys, continuity = chern_pp(data)
-        rep.extend(continuity)
-        for ci in sorted(data.weights):
-            for k in model.fan.cones[ci].ray_indices:
-                rep.verdicts.append(residue_chern_check(data, ci, k))
-        rep.artifacts["chern"] = {
-            str(p.degree): {str(ci): int_poly_payload(q) for ci, q in sorted(p.parts.items())}
-            for p in polys
-        }
-        return rep
-
-    if command in ("cocycle", "theorem-ab", "split"):
-        _need(model, "transitions", command)
-        td = model.transitions
-        checks = validate_transitions(td)
-        rep.extend(checks)
-        if not all(c.ok for c in checks):
-            return rep
-
-        if command == "cocycle":
-            A = atiyah_cocycle(td)
-            rep.extend(check_frame_antisymmetry(A, td))
-            rep.extend(check_triple_identity(A, td))
-            rep.artifacts["cocycle"] = cocycle_payload(A)
-            return rep
-
-        if command == "theorem-ab":
-            rep.extend(check_cocycle_pipelines(td))
-            return rep
-
-        A = atiyah_cocycle(td)
-        result = split_cocycle(A, td)
-        rep.artifacts["weight_cap"] = result.weight_cap
-        rep.artifacts["closure_depth"] = result.closure_depth
-        if result.found:
-            rep.verdicts.append(
-                FanCheck("splitting", "pass",
-                         f"found within closure depth {result.closure_depth}")
-            )
-            try:
-                _, gauge = connection_from_splitting(result.cochain, td)
-                rep.extend(gauge)
-            except InconsistentSplittingError as exc:
-                rep.verdicts.append(FanCheck("gauge_law", "fail", str(exc)))
-            rep.artifacts["splitting"] = cochain_payload(result.cochain)
-        else:
+def _run_residues(model: ModelFile, rep: Report) -> None:
+    _need(model, "bundle", rep.command)
+    data = model.bundle
+    rep.extend(check_compatibility(data))
+    table = {}
+    for ci in sorted(data.weights):
+        cone = model.fan.cones[ci]
+        rs = [residue(data, ci, k) for k in cone.ray_indices]
+        for R in rs:
+            table[f"{ci},{R.ray_index}"] = list(R.entries)
+        try:
+            recovered = recover_weights(model.fan, rs)
+            ok = sorted(recovered) == sorted(data.weights[ci])
             rep.verdicts.append(
                 FanCheck(
-                    "splitting", "undetermined",
-                    f"no splitting within the graded search space "
-                    f"(closure depth {result.closure_depth}, cap {result.weight_cap}); "
-                    "not a proof of non-existence",
+                    f"residue_roundtrip[{ci}]",
+                    "pass" if ok else "fail",
+                    "" if ok else "recovered weights differ from stored weights",
                 )
             )
-        return rep
+        except UnderdeterminedError as exc:
+            rep.verdicts.append(FanCheck(f"residue_roundtrip[{ci}]", "undetermined", str(exc)))
+    rep.artifacts["residues"] = table
 
-    if command == "equivariance":
-        _need(model, "transitions", command)
-        checks, result = equivariance_verdict(model.transitions)
-        rep.extend(checks)
-        if result.found:
-            rep.artifacts["splitting"] = cochain_payload(result.cochain)
-        rep.artifacts["weight_cap"] = result.weight_cap
-        return rep
 
-    raise UsageError(f"unknown command {command!r}")
+def _run_chern(model: ModelFile, rep: Report) -> None:
+    _need(model, "bundle", rep.command)
+    data = model.bundle
+    rep.extend(check_compatibility(data))
+    polys, continuity = chern_pp(data)
+    rep.extend(continuity)
+    for ci in sorted(data.weights):
+        for k in model.fan.cones[ci].ray_indices:
+            rep.verdicts.append(residue_chern_check(data, ci, k))
+    rep.artifacts["chern"] = {
+        str(p.degree): {str(ci): int_poly_payload(q) for ci, q in sorted(p.parts.items())}
+        for p in polys
+    }
+
+
+def _valid_transitions(model: ModelFile, rep: Report) -> TransitionData | None:
+    """The transitions once validate_transitions passes on them, else None; checks go to rep."""
+    _need(model, "transitions", rep.command)
+    td = model.transitions
+    checks = validate_transitions(td)
+    rep.extend(checks)
+    return td if all(c.ok for c in checks) else None
+
+
+def _run_cocycle(model: ModelFile, rep: Report) -> None:
+    td = _valid_transitions(model, rep)
+    if td is None:
+        return
+    A = atiyah_cocycle(td)
+    rep.extend(check_frame_antisymmetry(A, td))
+    rep.extend(check_triple_identity(A, td))
+    rep.artifacts["cocycle"] = cocycle_payload(A)
+
+
+def _run_theorem_ab(model: ModelFile, rep: Report) -> None:
+    td = _valid_transitions(model, rep)
+    if td is not None:
+        rep.extend(check_cocycle_pipelines(td))
+
+
+def _run_split(model: ModelFile, rep: Report) -> None:
+    td = _valid_transitions(model, rep)
+    if td is None:
+        return
+    A = atiyah_cocycle(td)
+    result = split_cocycle(A, td)
+    rep.artifacts["weight_cap"] = result.weight_cap
+    rep.artifacts["closure_depth"] = result.closure_depth
+    if result.found:
+        rep.verdicts.append(
+            FanCheck("splitting", "pass",
+                     f"found within closure depth {result.closure_depth}")
+        )
+        try:
+            _, gauge = connection_from_splitting(result.cochain, td)
+            rep.extend(gauge)
+        except InconsistentSplittingError as exc:
+            rep.verdicts.append(FanCheck("gauge_law", "fail", str(exc)))
+        rep.artifacts["splitting"] = cochain_payload(result.cochain)
+    else:
+        rep.verdicts.append(
+            FanCheck(
+                "splitting", "undetermined",
+                f"no splitting within the graded search space "
+                f"(closure depth {result.closure_depth}, cap {result.weight_cap}); "
+                f"not a proof of non-existence{result.truncation_note()}",
+            )
+        )
+
+
+def _run_equivariance(model: ModelFile, rep: Report) -> None:
+    _need(model, "transitions", rep.command)
+    checks, result = equivariance_verdict(model.transitions)
+    rep.extend(checks)
+    if result.found:
+        rep.artifacts["splitting"] = cochain_payload(result.cochain)
+    rep.artifacts["weight_cap"] = result.weight_cap
+
+
+# command -> handler(model, report), which fills in the report
+_HANDLERS = {
+    "validate": _run_validate,
+    "residues": _run_residues,
+    "chern": _run_chern,
+    "cocycle": _run_cocycle,
+    "theorem-ab": _run_theorem_ab,
+    "split": _run_split,
+    "equivariance": _run_equivariance,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
+def run(command: str, model: ModelFile) -> Report:
+    """Dispatch one command against a loaded model."""
+    handler = _HANDLERS.get(command)
+    if handler is None:
+        raise UsageError(f"unknown command {command!r}")
+    rep = Report(command)
+    rep.extend(_warning_checks(model))
+    handler(model, rep)
+    return rep
 
 
 def main(argv=None) -> int:

@@ -12,14 +12,17 @@ linear over the cocharacter lattice:
 * :func:`obstruction_cocycle` computes  C * delta(D),  differentiating the
   inverse first.
 
-Both products go through the one matrix product of ``laurent``.  Since
-C * D = 1, the Leibniz rule gives delta(C) * D = -C * delta(D), so the two
-must be exact negatives of each other, which :func:`check_cocycle_pipelines`
-verifies on every overlap.
+Each pipeline makes one pass per overlap through ``laurent.delta_products``,
+which returns the product for every basis vector at once; the two are
+accumulated separately.  Since C * D = 1, the Leibniz rule gives
+delta(C) * D = -C * delta(D), so the two must be exact negatives of each
+other, which :func:`check_cocycle_pipelines` verifies on every overlap.
 
-The frame-adjusted triple identity for the cocycle is checked by
-:func:`check_triple_identity`; splitting (hence existence of a logarithmic
-connection) lives in the companion module ``splitting``.
+The frame antisymmetry and the frame-adjusted triple identity of the
+cocycle are checked by :func:`check_frame_antisymmetry` and
+:func:`check_triple_identity`, each conjugation with its sum in one
+``LaurentMatrix.mul_add`` pass; splitting (hence existence of a
+logarithmic connection) lives in the companion module ``splitting``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     chart_member,
+    delta_products,
     matrix_chart_member,
-    matrix_delta,
     matrix_det,
     matrix_inverse_unit,
 )
@@ -158,21 +161,17 @@ class MatrixCocycle:
 
 def atiyah_cocycle(data: TransitionData) -> MatrixCocycle:
     """Derivative-first pipeline: delta(C_st) * C_ts for each basis vector."""
-    out = {}
-    for s, t in data.ordered_pairs():
-        C = data.pair(s, t)
-        D = data.pair(t, s)
-        out[(s, t)] = tuple(matrix_delta(e, C) * D for e in _basis(data.fan.dim))
+    n = data.fan.dim
+    out = {(s, t): delta_products(data.pair(s, t), data.pair(t, s), n, left=True)
+           for s, t in data.ordered_pairs()}
     return MatrixCocycle(data.fan, data.rank, out)
 
 
 def obstruction_cocycle(data: TransitionData) -> MatrixCocycle:
     """Inverse-first pipeline: C_st * delta(C_ts) for each basis vector."""
-    out = {}
-    for s, t in data.ordered_pairs():
-        C = data.pair(s, t)
-        D = data.pair(t, s)
-        out[(s, t)] = tuple(C * matrix_delta(e, D) for e in _basis(data.fan.dim))
+    n = data.fan.dim
+    out = {(s, t): delta_products(data.pair(s, t), data.pair(t, s), n, left=False)
+           for s, t in data.ordered_pairs()}
     return MatrixCocycle(data.fan, data.rank, out)
 
 
@@ -202,7 +201,7 @@ def check_frame_antisymmetry(cocycle: MatrixCocycle, data: TransitionData) -> li
         Cst = data.pair(s, t)
         Cts = data.pair(t, s)
         ok = all(
-            Mts == -(Cts * Mst * Cst)
+            (Cts * Mst).mul_add(Cst, Mts).is_zero()
             for Mst, Mts in zip(cocycle.pairs[(s, t)], cocycle.pairs[(t, s)])
         )
         checks.append(
@@ -219,13 +218,11 @@ def check_triple_identity(cocycle: MatrixCocycle, data: TransitionData) -> list[
     for s, t, u in itertools.permutations(maximal, 3):
         Cst = data.pair(s, t)
         Cts = data.pair(t, s)
-        ok = True
-        for b in range(data.fan.dim):
-            lhs = cocycle.pairs[(s, u)][b]
-            rhs = cocycle.pairs[(s, t)][b] + Cst * cocycle.pairs[(t, u)][b] * Cts
-            if lhs != rhs:
-                ok = False
-                break
+        ok = all(
+            (Cst * Atu).mul_add(Cts, Ast) == Asu
+            for Ast, Atu, Asu in zip(cocycle.pairs[(s, t)], cocycle.pairs[(t, u)],
+                                     cocycle.pairs[(s, u)])
+        )
         checks.append(
             FanCheck(f"triple_identity[{s},{t},{u}]", "pass" if ok else "fail",
                      "" if ok else f"identity fails on triple ({s},{t},{u})")

@@ -11,6 +11,12 @@ The module also carries the logarithmic derivations delta_v (chi^m maps to
 <m,v> chi^m), the Lie bracket on polynomial-coefficient vector fields, and
 square-matrix calculus over the Laurent ring, including inversion of
 matrices whose determinant is a unit (a single monomial term).
+
+Matrix products are fused, row-sparse passes that build each entry as one
+term map and make its coefficients canonical once:
+:meth:`LaurentMatrix.mul_add` returns A * B + Z without a separate sum (``*``
+is the same method without Z), and :func:`delta_products` returns
+delta_{e_b}(C) * D, or C * delta_{e_b}(D), for every basis vector e_b at once.
 """
 
 from __future__ import annotations
@@ -158,6 +164,16 @@ class LaurentPoly:
 _ZERO = LaurentPoly()  # the shared zero entry of matrix products
 
 
+def _entries(accs: dict, size: int) -> tuple:
+    """One matrix row from its term maps by column; a missing or cancelled entry is _ZERO."""
+    out = [_ZERO] * size
+    for q, acc in accs.items():
+        terms = _canonical(acc)
+        if terms:
+            out[q] = _poly(terms)
+    return tuple(out)
+
+
 def chart_member(F: LaurentPoly, sigma: Cone, fan: Fan) -> bool:
     """Does F lie in the chart ring of sigma?
 
@@ -261,45 +277,53 @@ class LaurentMatrix:
     @classmethod
     def identity(cls, r: int, dim: int) -> "LaurentMatrix":
         one = LaurentPoly.const(1, dim)
-        zero = LaurentPoly()
-        return cls([[one if i == j else zero for j in range(r)] for i in range(r)])
+        return cls._square(tuple(tuple(one if i == j else _ZERO for j in range(r))
+                                 for i in range(r)))
 
     @classmethod
     def zero(cls, r: int) -> "LaurentMatrix":
-        z = LaurentPoly()
-        return cls([[z] * r for _ in range(r)])
+        return cls._square(((_ZERO,) * r,) * r)
 
     @classmethod
     def diagonal(cls, polys) -> "LaurentMatrix":
-        polys = list(polys)
-        z = LaurentPoly()
-        return cls([[polys[i] if i == j else z for j in range(len(polys))] for i in range(len(polys))])
+        polys = tuple(polys)
+        r = len(polys)
+        return cls._square(tuple(tuple(polys[i] if i == j else _ZERO for j in range(r))
+                                 for i in range(r)))
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_size(other)
-        return LaurentMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return LaurentMatrix._square(tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_size(other)
-        return LaurentMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return LaurentMatrix._square(tuple(
+            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "LaurentMatrix":
-        return LaurentMatrix([[-a for a in row] for row in self.entries])
+        return LaurentMatrix._square(tuple(tuple(-a for a in row) for row in self.entries))
 
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Row-sparse product: each nonzero entry k of a left row meets only
-        the nonzero entries of right row k, and entry (p, q) is one term map
-        built by the product kernel.  Zero entries share one empty polynomial.
+    def mul_add(self, other: "LaurentMatrix", addend: "LaurentMatrix | None" = None
+                ) -> "LaurentMatrix":
+        """self * other + addend in one row-sparse pass.
+
+        Each nonzero entry k of a left row meets only the nonzero entries of
+        right row k, and entry (p, q) is one term map, seeded with the terms
+        of addend[p][q] and built by the product kernel.  Zero entries share
+        one empty polynomial.  ``*`` is this method without an addend.
         """
         self._check_size(other)
+        if addend is None:
+            seeds = None
+        else:
+            self._check_size(addend)
+            seeds = [{q: dict(f.terms) for q, f in enumerate(row) if f.terms}
+                     for row in addend.entries]
         right = [[(q, b.terms) for q, b in enumerate(row) if b.terms] for row in other.entries]
         rows = []
-        for row in self.entries:
-            accs = {}
+        for p, row in enumerate(self.entries):
+            accs = {} if seeds is None else seeds[p]
             for a, nonzero in zip(row, right):
                 a = a.terms
                 if not a:
@@ -309,16 +333,13 @@ class LaurentMatrix:
                     if acc is None:
                         acc = accs[q] = {}
                     _accumulate(acc, a, b)
-            out = [_ZERO] * self.size
-            for q, acc in accs.items():
-                terms = _canonical(acc)
-                if terms:
-                    out[q] = _poly(terms)
-            rows.append(tuple(out))
+            rows.append(_entries(accs, self.size))
         return LaurentMatrix._square(tuple(rows))
 
+    __mul__ = mul_add
+
     def scale(self, c) -> "LaurentMatrix":
-        return LaurentMatrix([[a.scale(c) for a in row] for row in self.entries])
+        return LaurentMatrix._square(tuple(tuple(a.scale(c) for a in row) for row in self.entries))
 
     def _check_size(self, other):
         if self.size != other.size:
@@ -342,6 +363,70 @@ def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
     """Apply the logarithmic derivation delta_v to every entry."""
     return LaurentMatrix._square(
         tuple(tuple(delta_apply(v, a) for a in row) for row in C.entries))
+
+
+def _accumulate_delta(accs: list, weighted: list, plain: dict) -> None:
+    """The product kernel for delta_products: accs[b][e1 + e2] += c1 * w_b * c2.
+
+    ``weighted`` lists each term (e1, c1) of one factor as (e1, [(b, c1 * w_b)])
+    with only the basis directions whose weight w_b is nonzero; ``plain`` is
+    the term map of the other factor.  Each exponent sum is formed once for
+    every direction.  The caller runs :func:`_canonical` once at the end.
+    """
+    for e1, parts in weighted:
+        for e2, c2 in plain.items():
+            e = tuple(map(add, e1, e2))
+            for b, c1 in parts:
+                acc = accs[b]
+                acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
+                   ) -> tuple[LaurentMatrix, ...]:
+    """The products with one factor differentiated, for every basis vector, in one pass.
+
+    Returns the tuple over b = 0..dim-1 of delta_{e_b}(C) * D when ``left``
+    is true and of C * delta_{e_b}(D) when it is false, equal entry for entry
+    to ``matrix_delta(e_b, C) * D`` and ``C * matrix_delta(e_b, D)``.  A term
+    pair (e1, c1), (e2, c2) adds c1 * c2 * w[b] at e1 + e2, w being e1 (left)
+    or e2 (right); a direction with w[b] = 0 adds nothing, as delta_apply
+    drops those terms.  The pass is row-sparse like :meth:`LaurentMatrix.mul_add`,
+    with one term map per entry and b, each made canonical once.
+    """
+    C._check_size(D)
+    basis = range(dim)
+
+    def weighted(f: LaurentPoly) -> list:
+        out = []
+        for e, c in f.terms.items():
+            parts = [(b, c * e[b]) for b in basis if e[b]]
+            if parts:
+                out.append((e, parts))
+        return out
+
+    if left:
+        lhs = [[weighted(a) for a in row] for row in C.entries]
+        rhs = [[(q, f.terms) for q, f in enumerate(row) if f.terms] for row in D.entries]
+    else:
+        lhs = [[a.terms for a in row] for row in C.entries]
+        rhs = [[(q, w) for q, f in enumerate(row) if (w := weighted(f))] for row in D.entries]
+    rows = [[] for _ in basis]
+    for row in lhs:
+        accs = {}
+        for a, nonzero in zip(row, rhs):
+            if not a:
+                continue
+            for q, other in nonzero:
+                acc = accs.get(q)
+                if acc is None:
+                    acc = accs[q] = [{} for _ in basis]
+                if left:
+                    _accumulate_delta(acc, a, other)
+                else:
+                    _accumulate_delta(acc, other, a)
+        for b in basis:
+            rows[b].append(_entries({q: acc[b] for q, acc in accs.items()}, C.size))
+    return tuple(LaurentMatrix._square(tuple(r)) for r in rows)
 
 
 def _det(C: LaurentMatrix) -> LaurentPoly:

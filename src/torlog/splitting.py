@@ -22,9 +22,12 @@ the solver works weight by weight: the entries of g_{s0} are supported on a
 finite set of weights seeded by the cocycle and closed under the shifts
 induced by conjugation with the transition entries.  The closure depth is
 capped (TORLOG_WEIGHT_CAP, default 3) and the search deepens one level at
-a time, so easy instances stay tiny.  A returned splitting is always
-re-verified against the defining equation with independent matrix
-arithmetic; "not found" only means: nothing in the searched graded space.
+a time, so easy instances stay tiny.  A closure that grows past
+_MAX_WEIGHTS weights stops there; ``SplitResult.truncated`` records that the
+limit, not the cap or saturation, ended the search, and the miss reports
+say so.  A returned splitting is always re-verified against the defining
+equation with independent matrix arithmetic; "not found" only means:
+nothing in the searched graded space.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .cocycles import (
     evaluate_linear,
 )
 from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_neg
-from .laurent import Coeff, LaurentMatrix, LaurentPoly, chart_member, exact, matrix_delta
+from .laurent import Coeff, LaurentMatrix, LaurentPoly, chart_member, delta_products, exact
 
 DEFAULT_WEIGHT_CAP = 3
 _MAX_WEIGHTS = 4000
@@ -72,10 +75,18 @@ class SplitResult:
     weight_cap: int
     closure_depth: int
     weights_searched: int
+    truncated: bool = False  # the weight closure stopped at _MAX_WEIGHTS with levels left
 
     @property
     def found(self) -> bool:
         return self.cochain is not None
+
+    def truncation_note(self) -> str:
+        """The clause a miss report appends when the closure was truncated, else empty."""
+        if not self.truncated:
+            return ""
+        return (f"; the weight closure stopped at the {_MAX_WEIGHTS}-weight limit "
+                f"before reaching depth {self.closure_depth + 1}")
 
 
 def _weight_cap(cap) -> int:
@@ -107,9 +118,14 @@ def _seed_and_shifts(cocycle: MatrixCocycle, data: TransitionData):
 
 
 def _close_weights(seed, shifts, depth):
+    """The weights within ``depth`` shifts of the seed, and whether the cap cut them.
+
+    The closure stops after a level that takes it past _MAX_WEIGHTS; it is
+    truncated when levels up to ``depth`` were left unbuilt.
+    """
     weights = set(seed)
     frontier = set(seed)
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         new = set()
         for w in frontier:
             for d in shifts:
@@ -121,8 +137,8 @@ def _close_weights(seed, shifts, depth):
         weights |= new
         frontier = new
         if len(weights) > _MAX_WEIGHTS:
-            break
-    return weights
+            return weights, level < depth
+    return weights, False
 
 
 def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None) -> SplitResult:
@@ -142,10 +158,11 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None) -> Spl
     last_count = 0
     cochain = None
     depth_used = 0
+    truncated = False
     for depth in range(cap + 1):
-        weights = _close_weights(seed, shifts, depth)
+        weights, truncated = _close_weights(seed, shifts, depth)
         if depth > 0 and len(weights) == last_count:
-            break  # closure is saturated; deeper passes repeat the same system
+            break  # closure is saturated or cut at the same level; deeper passes repeat it
         last_count = len(weights)
         depth_used = depth
         cochain = _solve_graded(cocycle, data, sorted(weights))
@@ -153,7 +170,7 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None) -> Spl
             cochain = _require_splitting(cochain, cocycle, data)
         if cochain is not None:
             break
-    return SplitResult(cochain, cap, depth_used, last_count)
+    return SplitResult(cochain, cap, depth_used, last_count, truncated)
 
 
 def _exact_div(c: Coeff, p: Coeff) -> Coeff:
@@ -314,7 +331,7 @@ def _solve_graded(cocycle, data, weights):
     for t in maximal[:-1]:
         C = data.pair(t, root)
         D = data.pair(root, t)
-        cones[t] = tuple(C * g * D - A for g, A in zip(g_root, cocycle.pairs[(t, root)]))
+        cones[t] = tuple((C * g).mul_add(D, -A) for g, A in zip(g_root, cocycle.pairs[(t, root)]))
     cones[root] = tuple(g_root)
     return MatrixCochain(fan, r, cones)
 
@@ -324,9 +341,8 @@ def verify_splitting(cochain: MatrixCochain, cocycle: MatrixCocycle, data: Trans
     for (s, t), mats in sorted(cocycle.pairs.items()):
         C = data.pair(s, t)
         D = data.pair(t, s)
-        for b, A in enumerate(mats):
-            lhs = C * cochain.cones[t][b] * D - cochain.cones[s][b]
-            if lhs != A:
+        for A, g_t, g_s in zip(mats, cochain.cones[t], cochain.cones[s]):
+            if (C * g_t).mul_add(D, -g_s) != A:
                 return False
     return True
 
@@ -384,22 +400,19 @@ def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):
 
         omega_t = C_ts * omega_s * C_st + C_ts * delta(C_st)
 
-    which is checked exactly on every ordered pair and basis vector.  A
-    violation raises InconsistentSplittingError.
+    which is checked exactly on every ordered pair and basis vector, the
+    derivative term C_ts * delta(C_st) for all basis vectors in one pass and
+    each conjugation with its sum in one.  A violation raises
+    InconsistentSplittingError.
     """
-    fan = data.fan
-    n = fan.dim
+    n = data.fan.dim
     checks = []
     for (s, t) in sorted(data.matrices):
         Cst = data.pair(s, t)
         Cts = data.pair(t, s)
-        ok = True
-        for b, e in enumerate(_basis(n)):
-            lhs = splitting.cones[t][b]
-            rhs = Cts * splitting.cones[s][b] * Cst + Cts * matrix_delta(e, Cst)
-            if lhs != rhs:
-                ok = False
-                break
+        dC = delta_products(Cts, Cst, n, left=False)
+        ok = all((Cts * g_s).mul_add(Cst, d) == g_t
+                 for g_s, g_t, d in zip(splitting.cones[s], splitting.cones[t], dC))
         if not ok:
             raise InconsistentSplittingError(
                 f"gauge law fails across pair ({s},{t}); the cochain is not a splitting"
@@ -439,7 +452,8 @@ def equivariance_verdict(data: TransitionData, cap=None):
                 "undetermined",
                 f"no splitting found within the graded search space "
                 f"(closure depth {result.closure_depth}, cap {result.weight_cap}, "
-                f"{result.weights_searched} weights); not a proof of non-existence",
+                f"{result.weights_searched} weights); not a proof of non-existence"
+                f"{result.truncation_note()}",
             )
         )
     return checks, result

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from torlog.cli import COMMANDS, load_model, main
+from torlog import splitting
+from torlog.cli import COMMANDS, UsageError, load_model, main, run
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -336,3 +337,25 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestCommandTable:
+    def test_run_rejects_an_unknown_command(self):
+        model = load_model(str(MODELS / "p1_o3.json"))
+        with pytest.raises(UsageError, match="unknown command 'frobnicate'"):
+            run("frobnicate", model)
+
+    def test_every_command_is_dispatched(self):
+        model = load_model(str(MODELS / "p2_rank2.json"))
+        for command in COMMANDS:
+            assert run(command, model).command == command
+
+    def test_split_names_a_truncated_closure(self, capsys, monkeypatch):
+        monkeypatch.setattr(splitting, "_MAX_WEIGHTS", 1)
+        monkeypatch.setattr(splitting, "_solve_graded", lambda *a: None)
+        for command, check in (("split", "splitting"), ("equivariance", "equivariance")):
+            code, out, _ = run_cli(capsys, [command, str(MODELS / "p2_rank2.json")])
+            assert code == 4
+            verdicts = {v["check"]: v for v in json.loads(out)["verdicts"]}
+            assert verdicts[check]["status"] == "undetermined"
+            assert "1-weight limit" in verdicts[check]["detail"]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
+from torlog import cocycles as cocycles_mod
 from torlog.cocycles import (
     MatrixCocycle,
     TransitionData,
@@ -23,8 +25,8 @@ from torlog.corpus import (
     random_transition_data,
     surface_fans,
 )
-from torlog.fans import projective_fan
-from torlog.laurent import LaurentMatrix, LaurentPoly, matrix_inverse_unit
+from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
+from torlog.laurent import LaurentMatrix, LaurentPoly, matrix_delta, matrix_inverse_unit
 
 X = LaurentPoly.monomial
 
@@ -246,3 +248,99 @@ class TestMatrixCocycle:
         for (s, t), mats in A_rev.pairs.items():
             for b, M in enumerate(mats):
                 assert M == A.pairs[(t, s)][b]
+
+
+def basis(n):
+    return [tuple(int(i == b) for i in range(n)) for b in range(n)]
+
+
+def reference_atiyah(data):
+    """The composition delta_products replaces: one matrix_delta and one product per b."""
+    return {(s, t): tuple(matrix_delta(e, data.pair(s, t)) * data.pair(t, s)
+                          for e in basis(data.fan.dim))
+            for s, t in data.ordered_pairs()}
+
+
+def reference_obstruction(data):
+    return {(s, t): tuple(data.pair(s, t) * matrix_delta(e, data.pair(t, s))
+                          for e in basis(data.fan.dim))
+            for s, t in data.ordered_pairs()}
+
+
+def reference_antisymmetry(cocycle, data):
+    """Each conjugation as two products and a negation, as before mul_add."""
+    return [(s, t, all(Mts == -(data.pair(t, s) * Mst * data.pair(s, t))
+                       for Mst, Mts in zip(cocycle.pairs[(s, t)], cocycle.pairs[(t, s)])))
+            for s, t in sorted(cocycle.pairs) if s < t]
+
+
+def reference_triples(cocycle, data):
+    return [(s, t, u, all(Asu == Ast + data.pair(s, t) * Atu * data.pair(t, s)
+                          for Ast, Atu, Asu in zip(cocycle.pairs[(s, t)], cocycle.pairs[(t, u)],
+                                                   cocycle.pairs[(s, u)])))
+            for s, t, u in itertools.permutations(data.maximal(), 3)]
+
+
+def ladder_fans():
+    return [projective_fan(1), projective_fan(2), product_p1_fan(),
+            hirzebruch_fan(1), hirzebruch_fan(2), projective_fan(3)]
+
+
+def ladder_draws(seed):
+    rng = random.Random(seed)
+    for fan in ladder_fans():
+        for rank in (1, 2, 3):
+            data = random_equivariant_data(fan, rank, rng)
+            yield dressed_transitions(data, random_dressing(fan, rank, rng, factors=1))
+
+
+def verdicts(checks):
+    return [(tuple(int(x) for x in re.findall(r"\d+", c.name)), c.ok) for c in checks]
+
+
+class TestFusedPipelines:
+    """The one-pass cocycles and the mul_add checks against the compositions they replace."""
+
+    def test_cocycles_match_reference_over_ladder(self):
+        for td in ladder_draws(71):
+            A, B = atiyah_cocycle(td), obstruction_cocycle(td)
+            assert A.pairs == reference_atiyah(td)
+            assert B.pairs == reference_obstruction(td)
+            assert all(len(mats) == td.fan.dim for mats in A.pairs.values())
+
+    def test_checks_match_reference_over_ladder(self):
+        for td in ladder_draws(72):
+            A = atiyah_cocycle(td)
+            assert verdicts(check_frame_antisymmetry(A, td)) == [
+                ((s, t), ok) for s, t, ok in reference_antisymmetry(A, td)]
+            assert verdicts(check_triple_identity(A, td)) == [
+                ((s, t, u), ok) for s, t, u, ok in reference_triples(A, td)]
+            assert all(c.ok for c in check_cocycle_pipelines(td))
+
+    def test_checks_match_reference_on_a_corrupted_cocycle(self):
+        rng = random.Random(73)
+        for fan in (projective_fan(2), hirzebruch_fan(1), projective_fan(3)):
+            data = random_equivariant_data(fan, 2, rng)
+            td = dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+            A = atiyah_cocycle(td)
+            s, t = td.ordered_pairs()[1]
+            E = LaurentMatrix([[X((0,) * fan.dim), LaurentPoly()], [LaurentPoly(), LaurentPoly()]])
+            A.pairs[(s, t)] = (A.pairs[(s, t)][0] + E,) + A.pairs[(s, t)][1:]
+            anti = verdicts(check_frame_antisymmetry(A, td))
+            triples = verdicts(check_triple_identity(A, td))
+            assert anti == [((a, b), ok) for a, b, ok in reference_antisymmetry(A, td)]
+            assert triples == [((a, b, c), ok) for a, b, c, ok in reference_triples(A, td)]
+            assert not all(ok for _, ok in anti) and not all(ok for _, ok in triples)
+
+    def test_broken_pipeline_is_still_caught(self, monkeypatch):
+        td = next(ladder_draws(74))
+        real = cocycles_mod.delta_products
+
+        def off_by_one(C, D, dim, left):
+            out = real(C, D, dim, left)
+            if left:
+                return out
+            return (out[0] + LaurentMatrix.identity(C.size, dim),) + out[1:]
+
+        monkeypatch.setattr(cocycles_mod, "delta_products", off_by_one)
+        assert not any(c.ok for c in check_cocycle_pipelines(td))

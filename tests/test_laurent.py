@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torlog import laurent
 from torlog.fans import Cone, DimensionError, build_fan, projective_fan
 from torlog.laurent import (
     LaurentMatrix,
@@ -16,6 +17,7 @@ from torlog.laurent import (
     bracket,
     chart_member,
     delta_apply,
+    delta_products,
     matrix_chart_member,
     matrix_delta,
     matrix_det,
@@ -341,3 +343,94 @@ class TestFusedProduct:
         two = LaurentMatrix([[X((1, 0), 2)]])
         (prod,), = (half * two).entries
         assert prod == X((1, 0)) and type(prod.coeff((1, 0))) is int
+
+
+def draw_matrix(rng, r, dim, coeffs, zero_rate=0.35):
+    """Entries with exponents in a small box (so many have zero components),
+    coefficients from ``coeffs`` and about ``zero_rate`` of them zero."""
+    def entry():
+        if rng.random() < zero_rate:
+            return LaurentPoly()
+        return LaurentPoly({tuple(rng.randint(-1, 1) for _ in range(dim)): rng.choice(coeffs)
+                            for _ in range(rng.randint(1, 3))})
+    return LaurentMatrix([[entry() for _ in range(r)] for _ in range(r)])
+
+
+def basis(dim):
+    return [tuple(int(i == b) for i in range(dim)) for b in range(dim)]
+
+
+class TestFusedKernels:
+    """delta_products and mul_add against the compositions they replace."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_delta_products_match_composition(self):
+        rng = random.Random(505)
+        skipped = 0
+        for _ in range(150):
+            r, dim = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+            C, D = draw_matrix(rng, r, dim, self.COEFFS), draw_matrix(rng, r, dim, self.COEFFS)
+            left = delta_products(C, D, dim, left=True)
+            right = delta_products(C, D, dim, left=False)
+            assert left == tuple(matrix_delta(e, C) * D for e in basis(dim))
+            assert right == tuple(C * matrix_delta(e, D) for e in basis(dim))
+            assert all(canonical(M) for M in left + right)
+            skipped += sum(e[b] == 0 for row in C.entries for f in row
+                           for e in f.terms for b in range(dim))
+        assert skipped > 0  # exponents with zero components were drawn
+
+    def test_all_zero_products_still_give_dim_matrices(self):
+        one = LaurentPoly.const(1, 3)
+        constant = LaurentMatrix([[one, X((0, 0, 0), Fraction(1, 2))], [LaurentPoly(), one]])
+        monomial = LaurentMatrix.diagonal([X((1, -1, 2)), X((0, 1, 0), 3)])
+        zero = LaurentMatrix.zero(2)
+        for C, D, left in [(constant, monomial, True), (monomial, constant, False),
+                           (zero, monomial, True), (monomial, zero, False)]:
+            out = delta_products(C, D, 3, left=left)
+            assert len(out) == 3
+            assert all(M.size == 2 and M.is_zero() for M in out)
+
+    def test_delta_products_size_mismatch(self):
+        with pytest.raises(DimensionError):
+            delta_products(LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2), 2, left=True)
+
+    def test_mul_add_matches_product_plus_addend(self):
+        rng = random.Random(606)
+        for _ in range(150):
+            r = rng.choice([1, 2, 3])
+            C, M, Z = (draw_matrix(rng, r, 2, self.COEFFS) for _ in range(3))
+            fused = C.mul_add(M, Z)
+            assert fused == C * M + Z
+            assert canonical(fused)
+            assert C.mul_add(M) == C * M == reference_product(C, M)
+
+    def test_cancelling_addend_leaves_the_shared_empty_entry(self):
+        f, g = X((1, 0), Fraction(1, 2)) + X((0, -1), 3), X((2, 1), -2)
+        zero = LaurentPoly()
+        C = LaurentMatrix([[f, zero], [g, g]])
+        D = LaurentMatrix([[g, zero], [zero, f]])
+        Z = -(C * D)
+        fused = C.mul_add(D, Z)
+        assert fused.is_zero()
+        assert all(a is laurent._ZERO for row in fused.entries for a in row)
+        # an addend entry that no product term reaches is kept as it is
+        W = LaurentMatrix([[zero, f], [zero, zero]])
+        assert C.mul_add(D, Z + W) == W
+
+    def test_mul_add_size_mismatch(self):
+        two, three = LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2)
+        with pytest.raises(DimensionError):
+            two.mul_add(two, three)
+        with pytest.raises(DimensionError):
+            two.mul_add(three, two)
+
+    def test_square_constructors_keep_their_results(self):
+        rng = random.Random(707)
+        A, B = draw_matrix(rng, 3, 2, self.COEFFS), draw_matrix(rng, 3, 2, self.COEFFS)
+        for M in (A + B, A - B, -A, A.scale(Fraction(2, 3)), LaurentMatrix.identity(3, 2),
+                  LaurentMatrix.zero(3), LaurentMatrix.diagonal([X((1, 0)), X((0, 1)), X((1, 1))])):
+            assert M.size == 3 and len(M.entries) == 3
+            assert all(type(row) is tuple and len(row) == 3 for row in M.entries)
+            assert M == LaurentMatrix(M.entries)
+        assert (A - B) + B == A and -(-A) == A

@@ -491,3 +491,47 @@ class TestRootChartReduction:
         monkeypatch.setattr(splitting_mod, "_solve_graded", lambda *a: bogus)
         with pytest.raises(RuntimeError):
             split_cocycle(A, td)
+
+
+class TestTruncatedClosure:
+    """A weight closure cut at _MAX_WEIGHTS is reported; the search is unchanged."""
+
+    def test_uncut_search_is_not_truncated(self):
+        cocycle, td = unsplittable_cocycle()
+        result = split_cocycle(cocycle, td, cap=6)
+        assert (result.closure_depth, result.weights_searched, result.truncated) == (6, 27, False)
+        assert result.truncation_note() == ""
+
+    def test_cut_closure_is_reported(self, monkeypatch):
+        # the closure has 3, 7, 11, ... weights at depth 0, 1, 2, ...; a limit
+        # of 6 lets depth 1 finish and cuts depth 2 after its first level
+        monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", 6)
+        cocycle, td = unsplittable_cocycle()
+        result = split_cocycle(cocycle, td, cap=6)
+        assert not result.found
+        assert (result.closure_depth, result.weights_searched, result.truncated) == (1, 7, True)
+        assert "6-weight limit before reaching depth 2" in result.truncation_note()
+
+    def test_limit_reached_on_the_last_level_is_not_a_cut(self, monkeypatch):
+        monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", 6)
+        cocycle, td = unsplittable_cocycle()
+        result = split_cocycle(cocycle, td, cap=1)
+        assert (result.closure_depth, result.weights_searched, result.truncated) == (1, 7, False)
+
+    def test_verdict_names_the_cut(self, monkeypatch):
+        td = load_model(str(MODELS / "p2_rank2.json")).transitions
+        monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", 1)
+        monkeypatch.setattr(splitting_mod, "_solve_graded", lambda *a: None)
+        checks, result = equivariance_verdict(td)
+        assert result.truncated
+        verdict = checks[-1]
+        assert verdict.status == "undetermined"
+        assert verdict.detail.endswith(result.truncation_note())
+        assert "1-weight limit" in verdict.detail
+
+    def test_verdict_without_a_cut_is_unchanged(self, monkeypatch):
+        td = load_model(str(MODELS / "p2_rank2.json")).transitions
+        monkeypatch.setattr(splitting_mod, "_solve_graded", lambda *a: None)
+        checks, result = equivariance_verdict(td)
+        assert not result.truncated
+        assert checks[-1].detail.endswith("not a proof of non-existence")
