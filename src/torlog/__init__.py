@@ -58,6 +58,7 @@ from .laurent import (
     VField,
     bracket,
     chart_member,
+    conjugations,
     delta_apply,
     delta_products,
     matrix_delta,

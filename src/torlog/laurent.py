@@ -15,8 +15,11 @@ matrices whose determinant is a unit (a single monomial term).
 Matrix products are fused, row-sparse passes that build each entry as one
 term map and make its coefficients canonical once:
 :meth:`LaurentMatrix.mul_add` returns A * B + Z without a separate sum (``*``
-is the same method without Z), and :func:`delta_products` returns
+is the same method without Z), :func:`conjugations` returns C * X_b * D + Z_b
+for a whole batch of X_b, with C and D made row-sparse once and the middle
+product kept as raw term maps, and :func:`delta_products` returns
 delta_{e_b}(C) * D, or C * delta_{e_b}(D), for every basis vector e_b at once.
+Determinants expand over raw term maps too.
 """
 
 from __future__ import annotations
@@ -162,6 +165,31 @@ class LaurentPoly:
 
 
 _ZERO = LaurentPoly()  # the shared zero entry of matrix products
+
+
+def _sparse_rows(M: "LaurentMatrix") -> list:
+    """Each row of M as its nonzero entries: a list of (column, term map)."""
+    return [[(q, f.terms) for q, f in enumerate(row) if f.terms] for row in M.entries]
+
+
+def _row_product(accs: dict, row: list, right: list) -> dict:
+    """Add one row-sparse left row times a row-sparse right factor into accs.
+
+    ``accs`` maps a column q to the term map of entry q; entry k of the row
+    meets only the nonzero entries of right row k.  Returns accs.
+    """
+    for k, a in row:
+        for q, b in right[k]:
+            acc = accs.get(q)
+            if acc is None:
+                acc = accs[q] = {}
+            _accumulate(acc, a, b)
+    return accs
+
+
+def _seeds(M: "LaurentMatrix") -> list:
+    """Fresh accumulators holding the terms of M, one map of columns per row."""
+    return [{q: dict(f.terms) for q, f in enumerate(row) if f.terms} for row in M.entries]
 
 
 def _entries(accs: dict, size: int) -> tuple:
@@ -318,21 +346,11 @@ class LaurentMatrix:
             seeds = None
         else:
             self._check_size(addend)
-            seeds = [{q: dict(f.terms) for q, f in enumerate(row) if f.terms}
-                     for row in addend.entries]
-        right = [[(q, b.terms) for q, b in enumerate(row) if b.terms] for row in other.entries]
+            seeds = _seeds(addend)
+        right = _sparse_rows(other)
         rows = []
-        for p, row in enumerate(self.entries):
-            accs = {} if seeds is None else seeds[p]
-            for a, nonzero in zip(row, right):
-                a = a.terms
-                if not a:
-                    continue
-                for q, b in nonzero:
-                    acc = accs.get(q)
-                    if acc is None:
-                        acc = accs[q] = {}
-                    _accumulate(acc, a, b)
+        for p, row in enumerate(_sparse_rows(self)):
+            accs = _row_product({} if seeds is None else seeds[p], row, right)
             rows.append(_entries(accs, self.size))
         return LaurentMatrix._square(tuple(rows))
 
@@ -357,6 +375,44 @@ class LaurentMatrix:
         return "LaurentMatrix([%s])" % "; ".join(
             ", ".join(repr(a) for a in row) for row in self.entries
         )
+
+
+def conjugations(C: LaurentMatrix, Xs, D: LaurentMatrix, addends=None
+                 ) -> tuple[LaurentMatrix, ...]:
+    """The tuple of C * X_b * D + Z_b over a batch, Z_b from ``addends`` (or zero).
+
+    C and D are made row-sparse once for the whole batch.  Each row of the
+    middle product C * X_b stays a raw term map per entry; its cancelled
+    zeros are dropped before it meets D, and each result entry, seeded with
+    the terms of Z_b, is made canonical once.  A batch and addends of
+    different lengths raise ValueError, matrices of different sizes
+    DimensionError.
+    """
+    Xs = tuple(Xs)
+    if addends is None:
+        addends = (None,) * len(Xs)
+    else:
+        addends = tuple(addends)
+        if len(addends) != len(Xs):
+            raise ValueError(f"{len(Xs)} matrices but {len(addends)} addends")
+    C._check_size(D)
+    for M in Xs + addends:
+        if M is not None:
+            C._check_size(M)
+    left, right = _sparse_rows(C), _sparse_rows(D)
+    out = []
+    for X, Z in zip(Xs, addends):
+        middle = _sparse_rows(X)
+        seeds = [{} for _ in left] if Z is None else _seeds(Z)
+        rows = []
+        for row, accs in zip(left, seeds):
+            mid = _row_product({}, row, middle)
+            # drop the middle product's cancelled zeros before the second product
+            mid = [(k, acc if 0 not in acc.values() else {e: c for e, c in acc.items() if c})
+                   for k, acc in mid.items()]
+            rows.append(_entries(_row_product(accs, mid, right), C.size))
+        out.append(LaurentMatrix._square(tuple(rows)))
+    return tuple(out)
 
 
 def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
@@ -429,26 +485,31 @@ def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
     return tuple(LaurentMatrix._square(tuple(r)) for r in rows)
 
 
-def _det(C: LaurentMatrix) -> LaurentPoly:
-    # cofactor expansion along the first row; matrices here are tiny
-    r = C.size
-    if r == 1:
-        return C.entries[0][0]
-    acc = LaurentPoly()
-    for j in range(r):
-        a = C.entries[0][j]
-        if a.is_zero():
+def _det_terms(rows: list) -> dict:
+    """The determinant of a square array of term maps, as a raw term map.
+
+    Cofactor expansion along the first row, skipping zero entries; the
+    result may hold zeros and non-canonical coefficients, so the caller
+    runs :func:`_canonical` once.  Matrices here are tiny.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = {}
+    for j, a in enumerate(rows[0]):
+        if not a:
             continue
-        minor = LaurentMatrix(
-            [[C.entries[i][k] for k in range(r) if k != j] for i in range(1, r)]
-        )
-        term = a * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
+        if j % 2:
+            a = {e: -c for e, c in a.items()}
+        _accumulate(acc, a, _det_terms([row[:j] + row[j + 1:] for row in rows[1:]]))
     return acc
 
 
+def _term_rows(C: LaurentMatrix) -> list:
+    return [[f.terms for f in row] for row in C.entries]
+
+
 def matrix_det(C: LaurentMatrix) -> LaurentPoly:
-    return _det(C)
+    return _poly(_canonical(_det_terms(_term_rows(C))))
 
 
 def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
@@ -457,29 +518,29 @@ def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
     Units are single monomial terms c*chi^m; anything else is rejected.
     The result satisfies C * C^-1 == identity exactly.
     """
-    det = _det(C)
-    if det.is_zero():
+    rows = _term_rows(C)
+    det = _canonical(_det_terms(rows))
+    if not det:
         raise SingularMatrixError("matrix determinant is zero")
-    if len(det.terms) != 1:
+    if len(det) != 1:
         raise NotAUnitError(
-            f"determinant has {len(det.terms)} terms; not a unit of the Laurent ring"
+            f"determinant has {len(det)} terms; not a unit of the Laurent ring"
         )
-    (exp, c), = det.terms.items()
-    det_inv = LaurentPoly.monomial(tuple(-x for x in exp), Fraction(1) / c)
+    (exp, c), = det.items()
+    inv_exp, inv_c = tuple(-x for x in exp), exact(Fraction(1) / c)
     r = C.size
     if r == 1:
-        return LaurentMatrix([[det_inv]])
-    adj_rows = []
+        return LaurentMatrix._square(((_poly({inv_exp: inv_c}),),))
+    # entry (i, j) of the inverse: the (j, i) cofactor times 1/det
+    signed = ({inv_exp: inv_c}, {inv_exp: -inv_c})
+    out = []
     for i in range(r):
-        row = []
+        accs = {}
         for j in range(r):
-            minor = LaurentMatrix(
-                [[C.entries[p][q] for q in range(r) if q != i] for p in range(r) if p != j]
-            )
-            cof = _det(minor)
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        adj_rows.append(row)
-    return LaurentMatrix([[a * det_inv for a in row] for row in adj_rows])
+            minor = [row[:i] + row[i + 1:] for p, row in enumerate(rows) if p != j]
+            _accumulate(accs.setdefault(j, {}), _det_terms(minor), signed[(i + j) % 2])
+        out.append(_entries(accs, r))
+    return LaurentMatrix._square(tuple(out))
 
 
 def matrix_chart_member(C: LaurentMatrix, sigma: Cone, fan: Fan) -> bool:

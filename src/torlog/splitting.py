@@ -28,6 +28,12 @@ limit, not the cap or saturation, ended the search, and the miss reports
 say so.  A returned splitting is always re-verified against the defining
 equation with independent matrix arithmetic; "not found" only means:
 nothing in the searched graded space.
+
+:func:`equivariance_verdict` validates the transitions first and has one
+certificate, that re-verification.  Once the gate proves C_ts C_st = 1, the
+gauge law :func:`connection_from_splitting` checks on (s, t) is the
+splitting equation on (t, s), since delta(C_ts) C_st = -C_ts delta(C_st) by
+Leibniz, so the verdict does not check it again.
 """
 
 from __future__ import annotations
@@ -45,9 +51,18 @@ from .cocycles import (
     check_frame_antisymmetry,
     check_triple_identity,
     evaluate_linear,
+    validate_transitions,
 )
 from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_neg
-from .laurent import Coeff, LaurentMatrix, LaurentPoly, chart_member, delta_products, exact
+from .laurent import (
+    Coeff,
+    LaurentMatrix,
+    LaurentPoly,
+    chart_member,
+    conjugations,
+    delta_products,
+    exact,
+)
 
 DEFAULT_WEIGHT_CAP = 3
 _MAX_WEIGHTS = 4000
@@ -331,19 +346,25 @@ def _solve_graded(cocycle, data, weights):
     for t in maximal[:-1]:
         C = data.pair(t, root)
         D = data.pair(root, t)
-        cones[t] = tuple((C * g).mul_add(D, -A) for g, A in zip(g_root, cocycle.pairs[(t, root)]))
+        cones[t] = conjugations(C, g_root, D, [-A for A in cocycle.pairs[(t, root)]])
     cones[root] = tuple(g_root)
     return MatrixCochain(fan, r, cones)
 
 
+def _full_length(cochain: MatrixCochain, n: int) -> bool:
+    """Does every cone carry one matrix per basis vector?  A short tuple would pass vacuously."""
+    return all(len(mats) == n for mats in cochain.cones.values())
+
+
 def verify_splitting(cochain: MatrixCochain, cocycle: MatrixCocycle, data: TransitionData) -> bool:
     """Independent check of the defining equation on every ordered overlap."""
+    if not _full_length(cochain, data.fan.dim):
+        return False
+    negated = {ci: [-g for g in mats] for ci, mats in cochain.cones.items()}
     for (s, t), mats in sorted(cocycle.pairs.items()):
-        C = data.pair(s, t)
-        D = data.pair(t, s)
-        for A, g_t, g_s in zip(mats, cochain.cones[t], cochain.cones[s]):
-            if (C * g_t).mul_add(D, -g_s) != A:
-                return False
+        got = conjugations(data.pair(s, t), cochain.cones[t], data.pair(t, s), negated[s])
+        if got != tuple(mats):
+            return False
     return True
 
 
@@ -401,19 +422,21 @@ def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):
         omega_t = C_ts * omega_s * C_st + C_ts * delta(C_st)
 
     which is checked exactly on every ordered pair and basis vector, the
-    derivative term C_ts * delta(C_st) for all basis vectors in one pass and
-    each conjugation with its sum in one.  A violation raises
-    InconsistentSplittingError.
+    derivative terms C_ts * delta(C_st) for all basis vectors in one pass and
+    the conjugations with them as addends in one batch.  A cone without one
+    form per basis vector, or a violation, raises InconsistentSplittingError.
     """
     n = data.fan.dim
+    if not _full_length(splitting, n):
+        raise InconsistentSplittingError(
+            f"the cochain does not give {n} matrices on every cone; it is not a splitting"
+        )
     checks = []
     for (s, t) in sorted(data.matrices):
         Cst = data.pair(s, t)
         Cts = data.pair(t, s)
         dC = delta_products(Cts, Cst, n, left=False)
-        ok = all((Cts * g_s).mul_add(Cst, d) == g_t
-                 for g_s, g_t, d in zip(splitting.cones[s], splitting.cones[t], dC))
-        if not ok:
+        if conjugations(Cts, splitting.cones[s], Cst, dC) != tuple(splitting.cones[t]):
             raise InconsistentSplittingError(
                 f"gauge law fails across pair ({s},{t}); the cochain is not a splitting"
             )
@@ -424,19 +447,28 @@ def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):
 def equivariance_verdict(data: TransitionData, cap=None):
     """Decide equivariance by splitting the obstruction cocycle.
 
-    Returns (checks, split_result).  A found splitting certifies a
-    logarithmic connection and with it an equivariant structure; a miss is
-    only "nothing within the searched graded space" and is reported as
+    Returns (checks, split_result).  Only the failing checks of the
+    ``validate_transitions`` gate enter the list; missing pairs fail the
+    verdict at once, any other failure after the triple identity has run.
+    A found splitting, re-verified inside ``split_cocycle`` (the one
+    certificate, see the module docstring), certifies a logarithmic
+    connection and with it an equivariant structure; a miss is only
+    "nothing within the searched graded space" and is reported as
     undetermined, never as a disproof.
     """
-    cocycle = atiyah_cocycle(data)
-    checks = [c for c in check_triple_identity(cocycle, data)]
-    if not all(c.ok for c in checks):
-        checks.append(FanCheck("equivariance", "fail", "cocycle fails the triple identity"))
+    checks = [c for c in validate_transitions(data) if not c.ok]
+    reasons = [f"transitions fail validation: {', '.join(c.name for c in checks)}"] if checks else []
+    if not any(c.name == "transitions_present" for c in checks):  # else no cocycle to build
+        cocycle = atiyah_cocycle(data)
+        triples = check_triple_identity(cocycle, data)
+        checks += triples
+        if not all(c.ok for c in triples):
+            reasons.append("cocycle fails the triple identity")
+    if reasons:
+        checks.append(FanCheck("equivariance", "fail", "; ".join(reasons)))
         return checks, SplitResult(None, _weight_cap(cap), 0, 0)
     result = split_cocycle(cocycle, data, cap=cap)
     if result.found:
-        connection_from_splitting(result.cochain, data)
         checks.append(
             FanCheck(
                 "equivariance",

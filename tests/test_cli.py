@@ -359,3 +359,26 @@ class TestCommandTable:
             verdicts = {v["check"]: v for v in json.loads(out)["verdicts"]}
             assert verdicts[check]["status"] == "undetermined"
             assert "1-weight limit" in verdicts[check]["detail"]
+
+
+class TestEquivarianceValidates:
+    """CLI equivariance validates the transitions before it decides anything."""
+
+    def test_off_ring_line_bundle_exits_one(self, capsys, tmp_path):
+        # rank 1 on p2_o2's fan with C_st = chi^(m_s - m_t): the cocycle law
+        # holds, but the entries leave the overlap rings
+        model = json.loads((MODELS / "p2_o2.json").read_text(encoding="utf-8"))
+        m = {4: (0, 0), 5: (3, -1), 6: (-2, 5)}
+        model["transitions"] = {
+            f"{s},{t}": [[[{"exponent": [a - b for a, b in zip(m[s], m[t])],
+                            "num": 1, "den": 1}]]]
+            for s, t in ((4, 5), (4, 6), (5, 6))}
+        path = write_model(tmp_path, model)
+        code, out, _ = run_cli(capsys, ["validate", path])
+        assert code == 1
+        code, out, _ = run_cli(capsys, ["equivariance", path])
+        assert code == 1
+        verdicts = json.loads(out)["verdicts"]
+        assert [v["check"] for v in verdicts if v["status"] == "fail"] == [
+            "chart_membership", "unit_determinants", "equivariance"]
+        assert verdicts[-1]["detail"].startswith("transitions fail validation")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
 
 from torlog import cocycles as cocycles_mod
 from torlog.cocycles import (
@@ -344,3 +345,131 @@ class TestFusedPipelines:
 
         monkeypatch.setattr(cocycles_mod, "delta_products", off_by_one)
         assert not any(c.ok for c in check_cocycle_pipelines(td))
+
+
+def reference_cocycle_law(data):
+    """The cocycle_law check by full enumeration of the ordered triples."""
+    bad = [(s, t, u) for s, t, u in itertools.permutations(data.maximal(), 3)
+           if data.pair(s, t) * data.pair(t, u) != data.pair(s, u)]
+    return ("cocycle_law", "fail" if bad else "pass",
+            f"C_st*C_tu != C_su on triples {bad[:6]}" if bad else "")
+
+
+def cocycle_law(data):
+    c = checks_by_name(validate_transitions(data))["cocycle_law"]
+    return (c.name, c.status, c.detail)
+
+
+class TestCocycleLawThroughRoot:
+    """The root-reduced cocycle law against full enumeration."""
+
+    def fans(self):
+        return [projective_fan(2), product_p1_fan(), hirzebruch_fan(1), projective_fan(3)]
+
+    def test_valid_ladder_draws(self):
+        for td in ladder_draws(81):
+            assert cocycle_law(td) == reference_cocycle_law(td) == ("cocycle_law", "pass", "")
+
+    def test_scaled_pair_with_its_inverse_fixed(self):
+        # the inverse pairing passes, so the root check runs, fails and falls back
+        rng = random.Random(82)
+        for fan in self.fans():
+            data = random_equivariant_data(fan, 2, rng)
+            base = dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+            for s, t in base.ordered_pairs():
+                td = TransitionData(base.fan, base.rank, dict(base.matrices))
+                td.matrices[(s, t)] = base.pair(s, t).scale(3)
+                td.matrices[(t, s)] = base.pair(t, s).scale("1/3")
+                assert checks_by_name(validate_transitions(td))["inverse_pairing"].ok
+                assert cocycle_law(td) == reference_cocycle_law(td)
+                assert cocycle_law(td)[1] == "fail"
+
+    def test_one_side_corrupted(self):
+        # the inverse pairing fails, so every triple is enumerated
+        rng = random.Random(83)
+        for fan in self.fans():
+            data = random_equivariant_data(fan, 2, rng)
+            base = dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+            for s, t in base.ordered_pairs():
+                td = TransitionData(base.fan, base.rank, dict(base.matrices))
+                E = LaurentMatrix([[LaurentPoly(), X((0,) * fan.dim)],
+                                   [LaurentPoly(), LaurentPoly()]])
+                td.matrices[(s, t)] = base.pair(s, t) + E
+                assert not checks_by_name(validate_transitions(td))["inverse_pairing"].ok
+                assert cocycle_law(td) == reference_cocycle_law(td)
+                assert cocycle_law(td)[1] == "fail"
+
+
+def reference_pipelines(data):
+    """check_cocycle_pipelines as it was: MA == -MB with -MB built for every matrix."""
+    A, B = atiyah_cocycle(data), obstruction_cocycle(data)
+    return [(pair, all(MA == -MB for MA, MB in zip(A.pairs[pair], B.pairs[pair])))
+            for pair in sorted(A.pairs)]
+
+
+class TestNegationFreePipelines:
+    """check_cocycle_pipelines compares c == -c' on identical supports."""
+
+    def pipelines(self, td):
+        return [(tuple(int(x) for x in re.findall(r"\d+", c.name)), c.ok)
+                for c in check_cocycle_pipelines(td)]
+
+    def test_matches_reference_over_ladder(self):
+        for td in ladder_draws(84):
+            assert self.pipelines(td) == reference_pipelines(td)
+            assert all(ok for _, ok in self.pipelines(td))
+
+    def broken(self, monkeypatch, spoil):
+        real = cocycles_mod.delta_products
+
+        def patched(C, D, dim, left):
+            out = real(C, D, dim, left)
+            return out if left else spoil(out)
+
+        monkeypatch.setattr(cocycles_mod, "delta_products", patched)
+
+    def test_same_sign_pipeline_fails(self, monkeypatch):
+        self.broken(monkeypatch, lambda out: tuple(-M for M in out))
+        failed = 0
+        for td in ladder_draws(85):
+            got = self.pipelines(td)
+            assert got == reference_pipelines(td)
+            # only a pair whose cocycle is zero is still opposite to itself
+            A = atiyah_cocycle(td)
+            assert got == [(pair, all(M.is_zero() for M in A.pairs[pair])) for pair in sorted(A.pairs)]
+            failed += sum(not ok for _, ok in got)
+        assert failed
+
+    def test_one_moved_term_fails(self, monkeypatch):
+        # the same coefficients on a shifted support, in the first matrix
+        def shift(f):
+            e = next(iter(f.terms))
+            return f.shift(tuple(int(i == 0) for i in range(len(e))))
+
+        self.broken(monkeypatch, lambda out: (spoil_first_entry(out[0], shift),) + out[1:])
+        for td in ladder_draws(86):
+            got = self.pipelines(td)
+            assert got == reference_pipelines(td)
+        assert not all(ok for _, ok in got)
+
+    def test_one_changed_coefficient_fails(self, monkeypatch):
+        # one coefficient off by 1/3, in the last matrix
+        def bump(f):
+            return f + X(next(iter(f.terms)), Fraction(1, 3))
+
+        self.broken(monkeypatch, lambda out: out[:-1] + (spoil_first_entry(out[-1], bump),))
+        for td in ladder_draws(87):
+            got = self.pipelines(td)
+            assert got == reference_pipelines(td)
+        assert not all(ok for _, ok in got)
+
+
+def spoil_first_entry(M, change):
+    """M with change applied to its first nonzero entry; M itself if it is zero."""
+    rows = [list(row) for row in M.entries]
+    for row in rows:
+        for q, f in enumerate(row):
+            if f.terms:
+                row[q] = change(f)
+                return LaurentMatrix(rows)
+    return M

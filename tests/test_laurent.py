@@ -16,6 +16,7 @@ from torlog.laurent import (
     VField,
     bracket,
     chart_member,
+    conjugations,
     delta_apply,
     delta_products,
     matrix_chart_member,
@@ -434,3 +435,117 @@ class TestFusedKernels:
             assert all(type(row) is tuple and len(row) == 3 for row in M.entries)
             assert M == LaurentMatrix(M.entries)
         assert (A - B) + B == A and -(-A) == A
+
+
+class TestConjugations:
+    """conjugations against two products and a sum, (C * X).mul_add(D, Z)."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_matches_product_then_mul_add(self):
+        rng = random.Random(808)
+        cancelled = 0
+        for _ in range(120):
+            r, k = rng.choice([1, 2, 3]), rng.randint(1, 4)
+            C, D = draw_matrix(rng, r, 2, self.COEFFS), draw_matrix(rng, r, 2, self.COEFFS)
+            Xs = [draw_matrix(rng, r, 2, self.COEFFS) for _ in range(k)]
+            Zs = [draw_matrix(rng, r, 2, self.COEFFS) for _ in range(k)]
+            got = conjugations(C, Xs, D, Zs)
+            assert got == tuple((C * X).mul_add(D, Z) for X, Z in zip(Xs, Zs))
+            assert all(canonical(M) for M in got)
+            assert conjugations(C, Xs, D) == tuple(C * X * D for X in Xs)
+            for M in Xs:
+                middle = [laurent._row_product({}, row, laurent._sparse_rows(M))
+                          for row in laurent._sparse_rows(C)]
+                cancelled += sum(0 in acc.values() for accs in middle for acc in accs.values())
+        assert cancelled > 0  # middle products with cancelled terms were drawn
+
+    def test_cancelled_middle_product_leaves_the_addend(self):
+        f, g = X((1, 0), Fraction(1, 2)) + X((0, -1), 3), X((2, 1), -2)
+        zero = LaurentPoly()
+        C = LaurentMatrix([[f, f], [zero, zero]])
+        M = LaurentMatrix([[g, g], [-g, -g]])  # C * M is zero
+        D = LaurentMatrix([[f, g], [g, f]])
+        Z = LaurentMatrix([[zero, f], [g, zero]])
+        assert (C * M).is_zero()
+        assert conjugations(C, [M], D, [Z]) == (Z,)
+        assert conjugations(C, [M], D)[0].is_zero()
+
+    def test_cancelling_addend_leaves_the_shared_empty_entry(self):
+        rng = random.Random(809)
+        C, M, D = (draw_matrix(rng, 3, 2, self.COEFFS) for _ in range(3))
+        Z = -(C * M * D)
+        (got,) = conjugations(C, [M], D, [Z])
+        assert got.is_zero()
+        assert all(a is laurent._ZERO for row in got.entries for a in row)
+
+    def test_empty_batch(self):
+        I = LaurentMatrix.identity(2, 2)
+        assert conjugations(I, [], I) == ()
+        assert conjugations(I, (), I, ()) == ()
+
+    def test_mismatches_raise(self):
+        two, three = LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2)
+        with pytest.raises(ValueError):
+            conjugations(two, [two, two], two, [two])
+        with pytest.raises(ValueError):
+            conjugations(two, [], two, [two])
+        for C, Xs, D, Zs in [(two, [two], three, None), (two, [three], two, None),
+                             (three, [two], two, None), (two, [two, two], two, [two, three])]:
+            with pytest.raises(DimensionError):
+                conjugations(C, Xs, D, Zs)
+
+
+def reference_det(C: LaurentMatrix) -> LaurentPoly:
+    """Cofactor expansion along the first row over validated LaurentMatrix minors."""
+    r = C.size
+    if r == 1:
+        return C.entries[0][0]
+    acc = LaurentPoly()
+    for j in range(r):
+        a = C.entries[0][j]
+        if a.is_zero():
+            continue
+        minor = LaurentMatrix(
+            [[C.entries[i][k] for k in range(r) if k != j] for i in range(1, r)]
+        )
+        term = a * reference_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+class TestDeterminantOnTermMaps:
+    """matrix_det and matrix_inverse_unit expand over raw term maps."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_matches_reference_at_ranks_one_to_four(self):
+        rng = random.Random(910)
+        zeros = 0
+        for _ in range(80):
+            r = rng.choice([1, 2, 3, 4])
+            M = draw_matrix(rng, r, 2, self.COEFFS, zero_rate=0.3)
+            det = matrix_det(M)
+            assert det == reference_det(M)
+            assert canonical(LaurentMatrix([[det]]))
+            zeros += sum(f.is_zero() for row in M.entries for f in row)
+        assert zeros > 0
+
+    def test_inverse_roundtrips_with_fraction_coefficients(self):
+        rng = random.Random(911)
+        for _ in range(40):
+            r = rng.choice([1, 2, 3, 4])
+            diag = LaurentMatrix.diagonal(
+                [X((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(self.COEFFS))
+                 for _ in range(r)])
+            upper = [[LaurentPoly.const(1, 2) if i == j else LaurentPoly() for j in range(r)]
+                     for i in range(r)]
+            for i in range(r):
+                for j in range(i + 1, r):
+                    upper[i][j] = draw_matrix(rng, 1, 2, self.COEFFS).entries[0][0]
+            C = diag * LaurentMatrix(upper)
+            I = LaurentMatrix.identity(r, 2)
+            inv = matrix_inverse_unit(C)
+            assert C * inv == I and inv * C == I
+            assert matrix_inverse_unit(inv) == C
+            assert canonical(inv)

@@ -11,10 +11,12 @@ from torlog.bundles import connection_form
 from torlog.cli import load_model
 from torlog.cocycles import (
     MatrixCocycle,
+    TransitionData,
     atiyah_cocycle,
     check_frame_antisymmetry,
     check_triple_identity,
     transitions_from_one_sided,
+    validate_transitions,
 )
 from torlog.corpus import (
     diagonal_transitions,
@@ -535,3 +537,131 @@ class TestTruncatedClosure:
         checks, result = equivariance_verdict(td)
         assert not result.truncated
         assert checks[-1].detail.endswith("not a proof of non-existence")
+
+
+def gauge_holds(cochain, td):
+    try:
+        connection_from_splitting(cochain, td)
+    except InconsistentSplittingError:
+        return False
+    return True
+
+
+class TestShortCochain:
+    """A cone tuple shorter than fan.dim must not verify vacuously."""
+
+    def setup(self):
+        data = line_bundle_data(projective_fan(2), 1)
+        td = diagonal_transitions(data)
+        return equivariant_splitting(data), td, atiyah_cocycle(td)
+
+    def test_full_cochain_passes(self):
+        g, td, A = self.setup()
+        assert verify_splitting(g, A, td) and gauge_holds(g, td)
+
+    def test_empty_cochain_is_rejected(self):
+        g, td, A = self.setup()
+        empty = MatrixCochain(g.fan, g.rank, {ci: () for ci in g.cones})
+        assert not verify_splitting(empty, A, td)
+        with pytest.raises(InconsistentSplittingError, match="2 matrices on every cone"):
+            connection_from_splitting(empty, td)
+
+    def test_one_matrix_cochain_is_rejected(self):
+        # the first basis matrix is right, so a truncating check would pass
+        g, td, A = self.setup()
+        short = MatrixCochain(g.fan, g.rank, {ci: mats[:1] for ci, mats in g.cones.items()})
+        assert not verify_splitting(short, A, td)
+        assert not gauge_holds(short, td)
+
+
+def off_ring_line_bundle():
+    """Rank 1 on p2_o2's fan with C_st = chi^(m_s - m_t) for arbitrary per-cone m.
+
+    It obeys the cocycle law, but its entries leave the overlap rings.
+    """
+    fan = load_model(str(MODELS / "p2_o2.json")).fan
+    m = {4: (0, 0), 5: (3, -1), 6: (-2, 5)}
+    mats = {(s, t): LaurentMatrix([[X(tuple(a - b for a, b in zip(m[s], m[t])))]])
+            for s in m for t in m if s != t}
+    return TransitionData(fan, 1, mats)
+
+
+class TestVerdictGate:
+    """validate_transitions gates the verdict; only its failures are reported."""
+
+    def test_off_ring_transitions_fail(self):
+        td = off_ring_line_bundle()
+        failing = [c.name for c in validate_transitions(td) if not c.ok]
+        assert failing == ["chart_membership", "unit_determinants"]
+        checks, result = equivariance_verdict(td)
+        assert [c.name for c in checks if not c.ok] == failing + ["equivariance"]
+        assert all(c.ok for c in checks if c.name.startswith("triple_identity"))
+        verdict = checks[-1]
+        assert verdict.status == "fail" and not result.found
+        assert verdict.detail == (
+            "transitions fail validation: chart_membership, unit_determinants")
+
+    def test_missing_pairs_fail_at_once(self):
+        td = off_ring_line_bundle()
+        del td.matrices[(5, 4)]
+        checks, result = equivariance_verdict(td)
+        assert [(c.name, c.status) for c in checks] == [
+            ("transitions_present", "fail"), ("equivariance", "fail")]
+        assert checks[-1].detail == "transitions fail validation: transitions_present"
+        assert not result.found
+
+    def test_valid_inputs_report_no_validation_checks(self):
+        rng = random.Random(123)
+        for fan in ladder_fans():
+            td = dressed_draw(fan, 2, rng)
+            checks, result = equivariance_verdict(td)
+            assert result.found
+            assert all(c.name.startswith("triple_identity") for c in checks[:-1])
+
+
+class TestOneCertificate:
+    """The verdict's one certificate agrees with the gauge law it no longer runs."""
+
+    def test_found_splittings_glue(self):
+        rng = random.Random(321)
+        for fan in ladder_fans():
+            for rank in (1, 2, 3):
+                td = dressed_draw(fan, rank, rng)
+                checks, result = equivariance_verdict(td)
+                assert checks[-1].ok and result.found, (fan.dim, rank)
+                _, gauge = connection_from_splitting(result.cochain, td)
+                assert len(gauge) == len(td.matrices) and all(c.ok for c in gauge)
+
+    def test_perturbed_cochains_agree(self):
+        rng = random.Random(322)
+        seen = {True: 0, False: 0}
+        for fan in ladder_fans():
+            td = dressed_draw(fan, 2, rng)
+            assert all(c.ok for c in validate_transitions(td))
+            A = atiyah_cocycle(td)
+            g = split_cocycle(A, td).cochain
+            maximal = td.maximal()
+            root = maximal[-1]
+            E = LaurentMatrix([[X((1,) + (0,) * (fan.dim - 1)), LaurentPoly()],
+                               [LaurentPoly.const(2, fan.dim), LaurentPoly()]])
+
+            def moved(change):
+                return MatrixCochain(fan, 2, {ci: tuple(change(ci, b, M) for b, M in enumerate(mats))
+                                              for ci, mats in g.cones.items()})
+
+            candidates = [
+                g,
+                # one matrix of one cone off by E
+                moved(lambda ci, b, M: M + E if (ci, b) == (maximal[0], 0) else M),
+                # E added on every cone: not a splitting unless E commutes with every C
+                moved(lambda ci, b, M: M + E),
+                # a scalar on every cone commutes with every transition
+                moved(lambda ci, b, M: M + LaurentMatrix.identity(2, fan.dim).scale(b + 1)),
+                # E conjugated from the root into every chart is again a splitting
+                moved(lambda ci, b, M: M + (E if ci == root else td.pair(ci, root) * E * td.pair(root, ci))),
+            ]
+            for cochain in candidates:
+                verified = verify_splitting(cochain, A, td)
+                assert verified == gauge_holds(cochain, td)
+                seen[verified] += 1
+        assert seen[True] and seen[False]
