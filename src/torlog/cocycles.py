@@ -25,10 +25,10 @@ cocycle are checked by :func:`check_frame_antisymmetry` and
 batch of C * X * D + Z per overlap; splitting (hence existence of a
 logarithmic connection) lives in the companion module ``splitting``.
 
-:func:`validate_transitions` proves the cocycle law C_st C_tu = C_su on
-every triple through the root chart r = maximal[-1].  Once the inverse
-pairing holds (C_st C_ts = 1 for s < t, hence also C_ts C_st = 1, the
-Laurent ring being commutative), write C_rr = 1 and check only
+:func:`root_chart_law` proves the cocycle law C_st C_tu = C_su on every
+triple through the root chart r = maximal[-1].  Once the inverse pairing
+holds (C_st C_ts = 1 for s < t, hence also C_ts C_st = 1, the Laurent ring
+being commutative), write C_rr = 1 and check only
 
     C_sr C_rt = C_st        for all s != t, both != r.
 
@@ -36,8 +36,22 @@ That holds trivially when s or t is r too, so for every triple
 
     C_st C_tu = C_sr C_rt C_tr C_ru = C_sr C_ru = C_su.
 
-When the root check or the inverse pairing fails, every triple is
-enumerated, so the failure detail names the same triples as before.
+:func:`check_triple_identity` reduces the same way.  Write X^st for
+C_st X C_ts and T(s,t,u) for A_su = A_st + A_tu^st.  By the cocycle law
+(X^tu)^st = X^su, and antisymmetry on s < t, A_ts = -A_st^ts, gives
+A_st = -A_ts^st by conjugating with st.  Given the root-chart law,
+antisymmetry and T(s,t,r) checked for all s, t != r, the rest follow:
+
+* no r: substituting T(t,u,r) into T(s,t,r) gives
+  A_sr = A_st + A_tu^st + A_ur^su, and T(s,u,r) says A_sr = A_su + A_ur^su,
+  so A_su = A_st + A_tu^st.
+* r first: conjugating T(t,u,r) with rt gives A_tr^rt = A_tu^rt + A_ur^ru,
+  that is -A_rt = A_tu^rt - A_ru, which is T(r,t,u).
+* r in the middle: A_ru^sr = -A_ur^su, so T(s,u,r) reads
+  A_su = A_sr + A_ru^sr, which is T(s,r,u).
+
+When any of these facts fails, every triple is enumerated, so the failure
+details name the same triples as a full check.
 """
 
 from __future__ import annotations
@@ -92,8 +106,8 @@ def _basis(n: int) -> list[IntVec]:
 def validate_transitions(data: TransitionData) -> list[FanCheck]:
     """Chart membership, unit determinants, inverse pairing and the cocycle law.
 
-    The cocycle law is checked through the root chart when the inverse
-    pairing holds, which proves it on every triple (module docstring).
+    Both laws are enumerated pair by pair only when :func:`root_chart_law`
+    fails, which proves them on every triple otherwise (module docstring).
     """
     fan = data.fan
     n = fan.dim
@@ -136,20 +150,14 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
                  f"{unit_bad}" if unit_bad else "")
     )
 
-    inverse_bad = []
+    through_root = root_chart_law(data)
     I = LaurentMatrix.identity(data.rank, n)
-    for s, t in data.ordered_pairs():
-        if s < t and data.pair(s, t) * data.pair(t, s) != I:
-            inverse_bad.append((s, t))
+    inverse_bad = [] if through_root else [
+        (s, t) for s, t in data.ordered_pairs() if s < t and data.pair(s, t) * data.pair(t, s) != I]
     checks.append(
         FanCheck("inverse_pairing", "fail" if inverse_bad else "pass",
                  f"C_st * C_ts != identity on pairs {inverse_bad}" if inverse_bad else "")
     )
-
-    root = maximal[-1] if maximal else None
-    through_root = not inverse_bad and all(
-        data.pair(s, root) * data.pair(root, t) == data.pair(s, t)
-        for s, t in itertools.permutations(maximal[:-1], 2))
     triple_bad = [] if through_root else [
         (s, t, u) for s, t, u in itertools.permutations(maximal, 3)
         if data.pair(s, t) * data.pair(t, u) != data.pair(s, u)]
@@ -158,6 +166,16 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
                  f"C_st*C_tu != C_su on triples {triple_bad[:6]}" if triple_bad else "")
     )
     return checks
+
+
+def root_chart_law(data: TransitionData) -> bool:
+    """The inverse pairing, and C_sr C_rt = C_st through the root chart r = maximal[-1]."""
+    maximal = data.maximal()
+    one = LaurentMatrix.identity(data.rank, data.fan.dim)
+    return all(data.pair(s, t) * data.pair(t, s) == one
+               for s, t in itertools.combinations(maximal, 2)) and all(
+        data.pair(s, maximal[-1]) * data.pair(maximal[-1], t) == data.pair(s, t)
+        for s, t in itertools.permutations(maximal[:-1], 2))
 
 
 def evaluate_linear(mats, v: IntVec, rank: int) -> LaurentMatrix:
@@ -239,13 +257,37 @@ def check_frame_antisymmetry(cocycle: MatrixCocycle, data: TransitionData) -> li
     return checks
 
 
+def _triple(s: int, t: int, u: int, ok: bool = True) -> FanCheck:
+    return FanCheck(f"triple_identity[{s},{t},{u}]", "pass" if ok else "fail",
+                    "" if ok else f"identity fails on triple ({s},{t},{u})")
+
+
+def triple_passes(data: TransitionData) -> list[FanCheck]:
+    """The triple identity's checks when it holds, in ``permutations`` order."""
+    return [_triple(s, t, u) for s, t, u in itertools.permutations(data.maximal(), 3)]
+
+
+def triples_through_root(cocycle: MatrixCocycle, data: TransitionData) -> bool:
+    """T(s, t, r) for every ordered pair of charts other than the root r = maximal[-1]."""
+    maximal = data.maximal()
+    A = cocycle.pairs
+    return all(conjugations(data.pair(s, t), A[(t, maximal[-1])], data.pair(t, s), A[(s, t)])
+               == tuple(A[(s, maximal[-1])]) for s, t in itertools.permutations(maximal[:-1], 2))
+
+
 def check_triple_identity(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
     """Frame-adjusted cocycle identity A_su = A_st + C_st A_tu C_ts on all triples.
 
-    One batch of conjugations per ordered pair (s, t), over every third chart
+    Proved through the root chart when it can be (module docstring), else by
+    one batch of conjugations per ordered pair (s, t), over every third chart
     u and basis vector; the checks come out in ``permutations`` order.
     """
     maximal = data.maximal()
+    if len(maximal) < 3:
+        return []
+    if (root_chart_law(data) and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
+            and triples_through_root(cocycle, data)):
+        return triple_passes(data)
     pairs = cocycle.pairs
     checks = []
     for s, t in itertools.permutations(maximal, 2):
@@ -257,8 +299,5 @@ def check_triple_identity(cocycle: MatrixCocycle, data: TransitionData) -> list[
                                 data.pair(t, s), [Ast for Ast, _, _ in batch]))
         for u in thirds:
             ok = all([next(got) == Asu for _, _, Asu in slots[u]])  # a list: consume them all
-            checks.append(
-                FanCheck(f"triple_identity[{s},{t},{u}]", "pass" if ok else "fail",
-                         "" if ok else f"identity fails on triple ({s},{t},{u})")
-            )
+            checks.append(_triple(s, t, u, ok))
     return checks

@@ -30,10 +30,13 @@ equation with independent matrix arithmetic; "not found" only means:
 nothing in the searched graded space.
 
 :func:`equivariance_verdict` validates the transitions first and has one
-certificate, that re-verification.  Once the gate proves C_ts C_st = 1, the
-gauge law :func:`connection_from_splitting` checks on (s, t) is the
-splitting equation on (t, s), since delta(C_ts) C_st = -C_ts delta(C_st) by
-Leibniz, so the verdict does not check it again.
+certificate, that re-verification plus chart-ring membership of each
+g_sigma.  Once the gate proves C_ts C_st = 1, the gauge law
+:func:`connection_from_splitting` checks on (s, t) is the splitting
+equation on (t, s), since delta(C_ts) C_st = -C_ts delta(C_st) by Leibniz,
+so the verdict does not check it again.  With the cocycle law proved too,
+frame antisymmetry, run once for both, and the triples through the root
+chart prove the triple identity (``cocycles`` docstring).
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .cocycles import (
     check_frame_antisymmetry,
     check_triple_identity,
     evaluate_linear,
+    root_chart_law,
+    triple_passes,
+    triples_through_root,
     validate_transitions,
 )
 from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_neg
@@ -62,6 +68,7 @@ from .laurent import (
     conjugations,
     delta_products,
     exact,
+    matrix_chart_member,
 )
 
 DEFAULT_WEIGHT_CAP = 3
@@ -156,16 +163,20 @@ def _close_weights(seed, shifts, depth):
     return weights, False
 
 
-def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None) -> SplitResult:
+def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
+                  antisymmetry=None) -> SplitResult:
     """Search for a splitting cochain of the given cocycle.
 
     Deepens the weight closure one level at a time up to the cap and solves
     the resulting exact linear system; free coordinates are set to zero, so
     the particular solution returned is one representative of a possibly
-    larger affine family.
+    larger affine family.  A cocycle that is not frame-antisymmetric is
+    refused; ``antisymmetry`` hands in its checks if the caller ran them.
     """
     cap = _weight_cap(cap)
-    bad = [c.detail for c in check_frame_antisymmetry(cocycle, data) if not c.ok]
+    if antisymmetry is None:
+        antisymmetry = check_frame_antisymmetry(cocycle, data)
+    bad = [c.detail for c in antisymmetry if not c.ok]
     if bad:
         raise ValueError(f"cocycle is not frame-antisymmetric on {bad[0]}; refusing to split")
 
@@ -371,10 +382,14 @@ def verify_splitting(cochain: MatrixCochain, cocycle: MatrixCocycle, data: Trans
 def _require_splitting(cochain, cocycle, data):
     """The exact gate on a candidate: the cochain if it verifies, else None or a fault.
 
-    A candidate that fails verification is a miss (None) when the input
-    breaks an identity the root-chart reduction rests on; otherwise the
-    solver is at fault and RuntimeError is raised.
+    A candidate outside its chart rings is a solver fault, which raises
+    RuntimeError.  One that fails verification is a miss (None) when the
+    input breaks an identity the root-chart reduction rests on; otherwise
+    the solver is at fault again.
     """
+    if not all(matrix_chart_member(g, data.fan.cones[ci], data.fan)
+               for ci, mats in cochain.cones.items() for g in mats):
+        raise RuntimeError("graded solver returned a cochain outside its chart rings")
     if verify_splitting(cochain, cocycle, data):
         return cochain
     if not _reduction_holds(cocycle, data):
@@ -383,18 +398,8 @@ def _require_splitting(cochain, cocycle, data):
 
 
 def _reduction_holds(cocycle, data) -> bool:
-    """The triple identity, and the cocycle law on every triple through the root chart."""
-    if not all(c.ok for c in check_triple_identity(cocycle, data)):
-        return False
-    maximal = data.maximal()
-    root = maximal[-1]
-    one = LaurentMatrix.identity(data.rank, data.fan.dim)
-
-    def C(s, t):
-        return one if s == t else data.pair(s, t)
-
-    return all(C(s, t) * C(t, root) == C(s, root) and C(root, s) * C(s, t) == C(root, t)
-               for s in maximal for t in maximal if s != t)
+    """The root-chart law and the triple identity, which the reduction rests on."""
+    return root_chart_law(data) and all(c.ok for c in check_triple_identity(cocycle, data))
 
 
 def equivariant_splitting(data: EquivariantData) -> MatrixCochain:
@@ -450,6 +455,8 @@ def equivariance_verdict(data: TransitionData, cap=None):
     Returns (checks, split_result).  Only the failing checks of the
     ``validate_transitions`` gate enter the list; missing pairs fail the
     verdict at once, any other failure after the triple identity has run.
+    Past the gate, antisymmetry runs once and the triples through the root
+    chart stand for all (module docstring), else every triple is enumerated.
     A found splitting, re-verified inside ``split_cocycle`` (the one
     certificate, see the module docstring), certifies a logarithmic
     connection and with it an equivariant structure; a miss is only
@@ -460,14 +467,17 @@ def equivariance_verdict(data: TransitionData, cap=None):
     reasons = [f"transitions fail validation: {', '.join(c.name for c in checks)}"] if checks else []
     if not any(c.name == "transitions_present" for c in checks):  # else no cocycle to build
         cocycle = atiyah_cocycle(data)
-        triples = check_triple_identity(cocycle, data)
+        antisymmetry = None if checks else check_frame_antisymmetry(cocycle, data)
+        reduced = (antisymmetry is not None and all(c.ok for c in antisymmetry)
+                   and triples_through_root(cocycle, data))
+        triples = triple_passes(data) if reduced else check_triple_identity(cocycle, data)
         checks += triples
         if not all(c.ok for c in triples):
             reasons.append("cocycle fails the triple identity")
     if reasons:
         checks.append(FanCheck("equivariance", "fail", "; ".join(reasons)))
         return checks, SplitResult(None, _weight_cap(cap), 0, 0)
-    result = split_cocycle(cocycle, data, cap=cap)
+    result = split_cocycle(cocycle, data, cap=cap, antisymmetry=antisymmetry)
     if result.found:
         checks.append(
             FanCheck(

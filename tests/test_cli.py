@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -382,3 +383,75 @@ class TestEquivarianceValidates:
         assert [v["check"] for v in verdicts if v["status"] == "fail"] == [
             "chart_membership", "unit_determinants", "equivariance"]
         assert verdicts[-1]["detail"].startswith("transitions fail validation")
+
+
+# (model, command) -> (exit code, sha256 of the report, or None when none is
+# written) for every call over models/.  A change meant to alter a report
+# updates its line here.
+GOLDEN = {
+    ('half_open.json', 'chern'): (0, '85765e53116d262b95e79ffd5893f096b0baaa8151c378bb378d9220624aa886'),
+    ('half_open.json', 'cocycle'): (0, '82f33157661c27d1507e7b67fbc9f05554a7f1bc23bf083df57f06c43da91ab6'),
+    ('half_open.json', 'equivariance'): (0, '646abaf78a158ae292208b895fcf11fb7fe5067a0ee094aa838d3e9c01e034cb'),
+    ('half_open.json', 'residues'): (0, '3745c5331bd9765bf831dcdbc6a4070e787d32ec67614cef1ed5512c026ea55d'),
+    ('half_open.json', 'split'): (0, '7695f4e853347e9e9d6d368647308c04469ee8eedaad1575b8b50cecf6af0d2d'),
+    ('half_open.json', 'theorem-ab'): (0, '3e830ae5131b9589eede9739a906bb59fe7dffdba769d0a21bca8b5f5034b43d'),
+    ('half_open.json', 'validate'): (0, 'bc2fb16f7c0e36c0326cfc186454f46e123ca8d4247bed45be7a0538d83aa6f4'),
+    ('hirzebruch_dressed.json', 'chern'): (2, None),
+    ('hirzebruch_dressed.json', 'cocycle'): (0, '107f6cefc7f8f750d72ed44821dae5cb2678e012983def330e3d1cb3e0988a15'),
+    ('hirzebruch_dressed.json', 'equivariance'): (0, '28d653c97d510724e3bc4023729f028b3d640ad6dc284744ff6a21d8d41f7d12'),
+    ('hirzebruch_dressed.json', 'residues'): (2, None),
+    ('hirzebruch_dressed.json', 'split'): (0, '3cbe82bbced2fe938c80d75ced8c1855ffaf178d8bdd9ec4e9af54354fec3d74'),
+    ('hirzebruch_dressed.json', 'theorem-ab'): (0, '0eed91ae4199eb0ab1985351680d14fcd72448b37c666695d8e6a1b70956a152'),
+    ('hirzebruch_dressed.json', 'validate'): (0, '2fa691f02e9871e923d3a526e75620dac303ef77e544614ecbf69474856bdffb'),
+    ('p1_o3.json', 'chern'): (0, 'c39168a80379ce0391efa473e568554ed332e453e325a7d699c0f99585db7fc9'),
+    ('p1_o3.json', 'cocycle'): (0, '21780326cc1c14b8ba9be228b403c6cfddf36a2dd7fe1664d6100e47b22152f5'),
+    ('p1_o3.json', 'equivariance'): (0, '6af4048d65b73d535d73574f83c5aef4a46c56209c1ce3520a2755f65175152f'),
+    ('p1_o3.json', 'residues'): (0, '6f4d97cc81ba83c28f0ccc1c21c64e3b49c97941bd0255c5e9f4fcec6a33d6c9'),
+    ('p1_o3.json', 'split'): (0, '27cdfbefccfe1140fd26e5b5918634baf5370065ade9212deb4a50f131745351'),
+    ('p1_o3.json', 'theorem-ab'): (0, '0b03ab58d983ebec419bfc058efabc47c003ce34751ba5425760ca0945a81dbf'),
+    ('p1_o3.json', 'validate'): (0, '79019f44504ebc8d5ca75fb7624bcb3102ca15d247e973fb150e6d3252c46579'),
+    ('p1p1_rank2.json', 'chern'): (0, '32b5049c351ec3d74048d14d4191ee96377a60e21e6533d647d6c14e1db26ddb'),
+    ('p1p1_rank2.json', 'cocycle'): (0, 'a09155cb5e22d7c02df337ee060fc9b3960ef29bcffea2dd6be38261c21684f7'),
+    ('p1p1_rank2.json', 'equivariance'): (0, '9309acd1758ca10ab986014386d93ceb9e6b0acb28d88ec3a8c08317696e58b7'),
+    ('p1p1_rank2.json', 'residues'): (0, 'fe39cf90648cd38295a57a2a58919ea1000a764057a159329b4830c2785cf0ff'),
+    ('p1p1_rank2.json', 'split'): (0, '8b8a01a61f4c86b200d36947e91a91819e1430b06437b5c1ba2cbb643223ec6b'),
+    ('p1p1_rank2.json', 'theorem-ab'): (0, '0eed91ae4199eb0ab1985351680d14fcd72448b37c666695d8e6a1b70956a152'),
+    ('p1p1_rank2.json', 'validate'): (0, '3b1a616119a9e8281b9daad87be43101c8df12825531c6b56ba9011e3e5956b7'),
+    ('p2_corrupted.json', 'chern'): (0, '3bfa7d8b9b66a672685eecfc6559b391aacd16afd6f62c49675c234e54adcd9e'),
+    ('p2_corrupted.json', 'cocycle'): (1, '50c2c27741a7b4789921dd908afa659113c4512b8702bf65f785ff9f407e98cc'),
+    ('p2_corrupted.json', 'equivariance'): (1, 'c7028f3f6b026187f8da7650111454bc833b46aeceecba17678ee374a7386648'),
+    ('p2_corrupted.json', 'residues'): (0, 'c08cb04a99737d14476ac10189f70fd6b866baf567b0c7ac6f32e9be85de4aba'),
+    ('p2_corrupted.json', 'split'): (1, '9376c2762b980fed5e4048d9ff0ca677ee6dc1da53c5e1887c60e81c90341ced'),
+    ('p2_corrupted.json', 'theorem-ab'): (1, 'fc086902774772970e578895c929b01e32595aeba8b548b0f5bae2a798286b59'),
+    ('p2_corrupted.json', 'validate'): (1, 'c4faddd2b667d7a3129b07b1e40ccd1621e0f3f7b2fa06f781cdbc1a46485c62'),
+    ('p2_o2.json', 'chern'): (0, '3bfa7d8b9b66a672685eecfc6559b391aacd16afd6f62c49675c234e54adcd9e'),
+    ('p2_o2.json', 'cocycle'): (0, 'a352d9ae1cca18780cee1fde3909295e2f01a5adf63a4c588c198eb4e232ea44'),
+    ('p2_o2.json', 'equivariance'): (0, '79c4584b3032e6cd464b5a3a1b13451487bd021e49bdf99cd813c784ebdd9701'),
+    ('p2_o2.json', 'residues'): (0, 'c08cb04a99737d14476ac10189f70fd6b866baf567b0c7ac6f32e9be85de4aba'),
+    ('p2_o2.json', 'split'): (0, '7b0f395ff9b6aae8cc68b6b08fbff02e46bb0029d95920b704001e9632d4b118'),
+    ('p2_o2.json', 'theorem-ab'): (0, '518a11315fc0c6b270c56513186abb988ab0c79dda257b26c95ce80f89ee4fc0'),
+    ('p2_o2.json', 'validate'): (0, '5febb385d295b719c789be7a6bfebab1a7a0f9bc31148291a88ce4e42ba14c2a'),
+    ('p2_rank2.json', 'chern'): (0, 'a5afbbdba876b7fb22f4996a903129fc08d0fc6e021aa82410117c926b79bdeb'),
+    ('p2_rank2.json', 'cocycle'): (0, 'c3140f89e36af2533fd7b8a2c8fb26ec2b73b3709186800b653054d5c6cf945f'),
+    ('p2_rank2.json', 'equivariance'): (0, '2990e866c72e57713b3a40d5cb35a2c9f62e20957c8883826f2a3cc852c139a7'),
+    ('p2_rank2.json', 'residues'): (0, '5a839e35c3bc64c0c951af53973fb1c6b0c89f63b6a3bbd6754d9989094106fb'),
+    ('p2_rank2.json', 'split'): (0, 'ce0d7485a892b8df53bdee262989e4c3267bbf04e2a50a7d8eafea1bf6bf0491'),
+    ('p2_rank2.json', 'theorem-ab'): (0, '518a11315fc0c6b270c56513186abb988ab0c79dda257b26c95ce80f89ee4fc0'),
+    ('p2_rank2.json', 'validate'): (0, 'c26928cf25bb734aa67d03e8dfd80e6a8f256d4f30697c937bd0f6f1fb5e868a'),
+}
+
+
+class TestGoldenReports:
+    """Every report over models/ is pinned byte for byte, with its exit code."""
+
+    def test_reports_match_their_digests(self, tmp_path, capsys):
+        got = {}
+        for model in sorted(MODELS.glob("*.json")):
+            for command in COMMANDS:
+                out = tmp_path / f"{model.stem}-{command}.json"
+                code = main([command, str(model), "--out", str(out)])
+                digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+                got[(model.name, command)] = (code, digest)
+        capsys.readouterr()
+        assert len(got) == 49
+        assert got == GOLDEN

@@ -4,8 +4,10 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from torlog import cocycles as cocycles_mod
+from torlog.cli import load_model
 from torlog.cocycles import (
     MatrixCocycle,
     TransitionData,
@@ -14,7 +16,9 @@ from torlog.cocycles import (
     check_frame_antisymmetry,
     check_triple_identity,
     obstruction_cocycle,
+    root_chart_law,
     transitions_from_one_sided,
+    triples_through_root,
     validate_transitions,
 )
 from torlog.corpus import (
@@ -30,6 +34,7 @@ from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
 from torlog.laurent import LaurentMatrix, LaurentPoly, matrix_delta, matrix_inverse_unit
 
 X = LaurentPoly.monomial
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def p1_line_transitions(d):
@@ -473,3 +478,120 @@ def spoil_first_entry(M, change):
                 row[q] = change(f)
                 return LaurentMatrix(rows)
     return M
+
+
+def enumerated(cocycle, data, monkeypatch):
+    """check_triple_identity with the root reduction switched off: every triple enumerated."""
+    with monkeypatch.context() as m:
+        m.setattr(cocycles_mod, "triples_through_root", lambda *a: False)
+        return check_triple_identity(cocycle, data)
+
+
+def reduced_and_enumerated(cocycle, data, monkeypatch):
+    """(checks, whether the root reduction decided them, the enumerated checks)."""
+    decided = []
+    real = cocycles_mod.triple_passes
+    with monkeypatch.context() as m:
+        m.setattr(cocycles_mod, "triple_passes", lambda d: decided.append(1) or real(d))
+        checks = check_triple_identity(cocycle, data)
+    return checks, bool(decided), enumerated(cocycle, data, monkeypatch)
+
+
+def as_tuples(checks):
+    return [(c.name, c.status, c.detail) for c in checks]
+
+
+def with_first_matrix(cocycle, pair, change):
+    """A copy of the cocycle whose first basis matrix on ``pair`` is changed."""
+    pairs = dict(cocycle.pairs)
+    pairs[pair] = (change(pairs[pair][0]),) + pairs[pair][1:]
+    return MatrixCocycle(cocycle.fan, cocycle.rank, pairs)
+
+
+def one_constant(rank, dim):
+    """The matrix with a single coefficient, 1 at the zero exponent of entry (0, 0)."""
+    rows = [[LaurentPoly() for _ in range(rank)] for _ in range(rank)]
+    rows[0][0] = X((0,) * dim)
+    return LaurentMatrix(rows)
+
+
+class TestTripleReduction:
+    """The root-reduced triple identity against full enumeration, list for list."""
+
+    def draws(self, seed):
+        rng = random.Random(seed)
+        for fan in (projective_fan(2), hirzebruch_fan(1), projective_fan(3)):
+            data = random_equivariant_data(fan, 2, rng)
+            yield dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+
+    def test_ladder_draws(self, monkeypatch):
+        for td in ladder_draws(91):
+            checks, decided, full = reduced_and_enumerated(atiyah_cocycle(td), td, monkeypatch)
+            assert as_tuples(checks) == as_tuples(full)
+            m = len(td.maximal())
+            assert len(checks) == m * (m - 1) * (m - 2) and all(c.ok for c in checks)
+            assert decided == (m >= 3)
+
+    def test_changed_coefficient_on_a_non_root_pair(self, monkeypatch):
+        for td in self.draws(92):
+            s, t = td.maximal()[:2]
+            A = with_first_matrix(atiyah_cocycle(td), (s, t),
+                                  lambda M: M + one_constant(2, td.fan.dim))
+            checks, decided, full = reduced_and_enumerated(A, td, monkeypatch)
+            assert as_tuples(checks) == as_tuples(full)
+            assert not decided and not all(c.ok for c in checks)
+
+    def test_changed_coefficient_on_a_pair_into_the_root(self, monkeypatch):
+        for td in self.draws(93):
+            s, r = td.maximal()[0], td.maximal()[-1]
+            A = with_first_matrix(atiyah_cocycle(td), (s, r),
+                                  lambda M: M + one_constant(2, td.fan.dim))
+            assert not triples_through_root(A, td)
+            checks, decided, full = reduced_and_enumerated(A, td, monkeypatch)
+            assert as_tuples(checks) == as_tuples(full)
+            assert not decided and not all(c.ok for c in checks)
+
+    def test_reverse_pair_breaks_antisymmetry_only(self, monkeypatch):
+        # A_rs never enters a triple through the root, so only antisymmetry
+        # stops the reduction; the triples it breaks must still be named
+        for td in self.draws(94):
+            s, r = td.maximal()[0], td.maximal()[-1]
+            A = with_first_matrix(atiyah_cocycle(td), (r, s),
+                                  lambda M: M + one_constant(2, td.fan.dim))
+            assert root_chart_law(td) and triples_through_root(A, td)
+            assert not all(c.ok for c in check_frame_antisymmetry(A, td))
+            checks, decided, full = reduced_and_enumerated(A, td, monkeypatch)
+            assert as_tuples(checks) == as_tuples(full)
+            assert not decided and not all(c.ok for c in checks)
+
+    def test_coboundary_keeps_every_triple(self, monkeypatch):
+        # A_st + C_st g_t C_ts - g_s satisfies every identity A does
+        rng = random.Random(95)
+        for td in self.draws(96):
+            n = td.fan.dim
+            g = {ci: [LaurentMatrix([[X(tuple(rng.randint(-2, 2) for _ in range(n)),
+                                        rng.choice([-1, 1, 2])) for _ in range(2)]
+                                     for _ in range(2)]) for _ in range(n)]
+                 for ci in td.maximal()}
+            A = atiyah_cocycle(td)
+            B = MatrixCocycle(td.fan, 2, {
+                (s, t): tuple(M + td.pair(s, t) * gt * td.pair(t, s) - gs
+                              for M, gs, gt in zip(mats, g[s], g[t]))
+                for (s, t), mats in A.pairs.items()})
+            assert B.pairs != A.pairs
+            checks, decided, full = reduced_and_enumerated(B, td, monkeypatch)
+            assert as_tuples(checks) == as_tuples(full)
+            assert decided and all(c.ok for c in checks)
+
+    def test_corrupted_model(self, monkeypatch):
+        td = load_model(str(MODELS / "p2_corrupted.json")).transitions
+        assert not root_chart_law(td)
+        checks, decided, full = reduced_and_enumerated(atiyah_cocycle(td), td, monkeypatch)
+        assert as_tuples(checks) == as_tuples(full)
+        assert not decided and not all(c.ok for c in checks)
+
+    def test_two_charts_give_no_checks(self, monkeypatch):
+        td = diagonal_transitions(line_bundle_data(projective_fan(1), 3))
+        assert check_triple_identity(atiyah_cocycle(td), td) == []
+        assert enumerated(atiyah_cocycle(td), td, monkeypatch) == []
+

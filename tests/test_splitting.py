@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from torlog import cocycles as cocycles_mod
 from torlog import splitting as splitting_mod
 from torlog.bundles import connection_form
 from torlog.cli import load_model
@@ -27,7 +28,7 @@ from torlog.corpus import (
     surface_fans,
 )
 from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan, vec_add
-from torlog.laurent import LaurentMatrix, LaurentPoly, chart_member
+from torlog.laurent import LaurentMatrix, LaurentPoly, chart_member, matrix_chart_member
 from torlog.splitting import (
     InconsistentSplittingError,
     MatrixCochain,
@@ -665,3 +666,120 @@ class TestOneCertificate:
                 assert verified == gauge_holds(cochain, td)
                 seen[verified] += 1
         assert seen[True] and seen[False]
+
+
+def off_ring_splitting(td, g):
+    """g plus C_{sigma r} E C_{r sigma} on every cone, r the root chart.
+
+    It solves the splitting equation whenever g does, but with E = [[chi^e1, 0],
+    [2, 0]] its matrices leave their chart rings.
+    """
+    fan = td.fan
+    root = td.maximal()[-1]
+    E = LaurentMatrix([[X((1,) + (0,) * (fan.dim - 1)), LaurentPoly()],
+                       [LaurentPoly.const(2, fan.dim), LaurentPoly()]])
+    return MatrixCochain(fan, 2, {
+        ci: tuple(M + (E if ci == root else td.pair(ci, root) * E * td.pair(root, ci)) for M in mats)
+        for ci, mats in g.cones.items()})
+
+
+class TestChartRingCertificate:
+    """The certificate requires every g_sigma in its chart ring, beyond the equation."""
+
+    @pytest.mark.parametrize("fan", [projective_fan(1), projective_fan(2)], ids=["P1", "P2"])
+    def test_off_ring_candidate_is_a_solver_fault(self, fan, monkeypatch):
+        td = dressed_draw(fan, 2, random.Random(606))
+        A = atiyah_cocycle(td)
+        moved = off_ring_splitting(td, split_cocycle(A, td).cochain)
+        assert verify_splitting(moved, A, td)
+        assert not any(matrix_chart_member(M, fan.cones[ci], fan)
+                       for ci, mats in moved.cones.items() for M in mats)
+        monkeypatch.setattr(splitting_mod, "_solve_graded", lambda *a: moved)
+        with pytest.raises(RuntimeError, match="outside its chart rings"):
+            split_cocycle(A, td)
+        with pytest.raises(RuntimeError, match="outside its chart rings"):
+            equivariance_verdict(td)
+
+
+def as_tuples(checks):
+    return [(c.name, c.status, c.detail) for c in checks]
+
+
+def composed_checks(td, monkeypatch):
+    """The verdict's checks as the gate and the fully enumerated triple identity give them."""
+    checks = [c for c in validate_transitions(td) if not c.ok]
+    if any(c.name == "transitions_present" for c in checks):
+        return checks
+    A = atiyah_cocycle(td)
+    with monkeypatch.context() as m:
+        m.setattr(cocycles_mod, "triples_through_root", lambda *a: False)
+        return checks + check_triple_identity(A, td)
+
+
+def count_conjugated(monkeypatch):
+    """A list that collects the batch size of every conjugations call."""
+    sizes = []
+    real = splitting_mod.conjugations
+
+    def spy(C, Xs, D, addends=None):
+        Xs = tuple(Xs)
+        sizes.append(len(Xs))
+        return real(C, Xs, D, addends)
+
+    for mod in (cocycles_mod, splitting_mod):
+        monkeypatch.setattr(mod, "conjugations", spy)
+    return sizes
+
+
+class TestReducedVerdict:
+    """The verdict's root-reduced checks against the composition they replace."""
+
+    def compare(self, td, monkeypatch):
+        checks, result = equivariance_verdict(td)
+        before = composed_checks(td, monkeypatch)
+        assert as_tuples(checks[:-1]) == as_tuples(before)
+        if not all(c.ok for c in before):
+            assert checks[-1].status == "fail" and not result.found
+            return
+        reference = split_cocycle(atiyah_cocycle(td), td)
+        assert same_search(result, reference)
+        assert checks[-1].status == ("pass" if reference.found else "undetermined")
+        if result.found:
+            assert result.cochain.cones == reference.cochain.cones
+
+    def test_ladder_draws(self, monkeypatch):
+        rng = random.Random(505)
+        for fan in ladder_fans():
+            for rank in (1, 2, 3):
+                self.compare(dressed_draw(fan, rank, rng), monkeypatch)
+
+    def test_failing_inputs(self, monkeypatch):
+        broken = diagonal_transitions(line_bundle_data(projective_fan(2), 1))
+        broken.matrices[(4, 5)] = broken.matrices[(4, 5)] * LaurentMatrix([[X((0, 1))]])
+        broken.matrices[(5, 4)] = LaurentMatrix([[X((0, -1))]]) * broken.matrices[(5, 4)]
+        corrupted = load_model(str(MODELS / "p2_corrupted.json")).transitions
+        for td in (off_ring_line_bundle(), broken, corrupted):
+            self.compare(td, monkeypatch)
+
+    @pytest.mark.parametrize("fan, before, after", [
+        (projective_fan(2), 34, 26),
+        (product_p1_fan(), 90, 54),
+        (hirzebruch_fan(1), 90, 54),
+        (hirzebruch_fan(2), 90, 54),
+        (projective_fan(3), 135, 81),
+    ], ids=["P2", "P1xP1", "F1", "F2", "P3"])
+    def test_conjugated_matrices_per_verdict(self, fan, before, after, monkeypatch):
+        # before: every triple enumerated, then split_cocycle with its own
+        # antisymmetry check; both find the splitting at depth 0
+        td = dressed_draw(fan, 2, random.Random(707))
+        sizes = count_conjugated(monkeypatch)
+        checks, result = equivariance_verdict(td)
+        assert checks[-1].ok and result.closure_depth == 0
+        assert sum(sizes) == after
+        sizes.clear()
+        A = atiyah_cocycle(td)
+        with monkeypatch.context() as m:
+            m.setattr(cocycles_mod, "root_chart_law", lambda data: False)
+            assert all(c.ok for c in check_triple_identity(A, td))
+        assert split_cocycle(A, td).closure_depth == 0
+        assert sum(sizes) == before
