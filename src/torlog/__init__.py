@@ -69,6 +69,7 @@ from .splitting import (
     InconsistentSplittingError,
     MatrixCochain,
     SplitResult,
+    WeightCapError,
     connection_from_splitting,
     equivariance_verdict,
     equivariant_splitting,

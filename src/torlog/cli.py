@@ -32,7 +32,7 @@ from .cocycles import (
     atiyah_cocycle,
     check_cocycle_pipelines,
     check_frame_antisymmetry,
-    check_triple_identity,
+    gated_triple_identity,
     transitions_from_one_sided,
     validate_transitions,
 )
@@ -41,9 +41,11 @@ from .laurent import LaurentMatrix, LaurentPoly, NotAUnitError, SingularMatrixEr
 from .reports import Report, cochain_payload, cocycle_payload, emit, int_poly_payload
 from .splitting import (
     InconsistentSplittingError,
+    WeightCapError,
     connection_from_splitting,
     split_cocycle,
     equivariance_verdict,
+    weight_cap,
 )
 
 # fan-check failures that make a model unusable rather than merely imperfect;
@@ -316,8 +318,9 @@ def _run_cocycle(model: ModelFile, rep: Report) -> None:
     if td is None:
         return
     A = atiyah_cocycle(td)
-    rep.extend(check_frame_antisymmetry(A, td))
-    rep.extend(check_triple_identity(A, td))
+    antisymmetry = check_frame_antisymmetry(A, td)
+    rep.extend(antisymmetry)
+    rep.extend(gated_triple_identity(A, td, antisymmetry))
     rep.artifacts["cocycle"] = cocycle_payload(A)
 
 
@@ -328,11 +331,12 @@ def _run_theorem_ab(model: ModelFile, rep: Report) -> None:
 
 
 def _run_split(model: ModelFile, rep: Report) -> None:
+    cap = weight_cap()  # a malformed TORLOG_WEIGHT_CAP is a usage error on every input
     td = _valid_transitions(model, rep)
     if td is None:
         return
     A = atiyah_cocycle(td)
-    result = split_cocycle(A, td)
+    result = split_cocycle(A, td, cap=cap)
     rep.artifacts["weight_cap"] = result.weight_cap
     rep.artifacts["closure_depth"] = result.closure_depth
     if result.found:
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(args.command, model)
-    except UsageError as exc:
+    except (UsageError, WeightCapError) as exc:
         print(f"torlog: {exc}", file=sys.stderr)
         return 2
 

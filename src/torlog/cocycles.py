@@ -52,6 +52,14 @@ antisymmetry and T(s,t,r) checked for all s, t != r, the rest follow:
 
 When any of these facts fails, every triple is enumerated, so the failure
 details name the same triples as a full check.
+
+:func:`check_triple_identity` establishes the root-chart law and
+antisymmetry itself.  Past the :func:`validate_transitions` gate the law is
+already proved, so :func:`gated_triple_identity` takes the caller's
+antisymmetry checks and runs only the triples through r; the ``cocycle``
+command reports those checks, and the equivariance verdict runs them only
+when no splitting is found, since a found one proves both (``splitting``
+docstring).
 """
 
 from __future__ import annotations
@@ -278,16 +286,32 @@ def triples_through_root(cocycle: MatrixCocycle, data: TransitionData) -> bool:
 def check_triple_identity(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
     """Frame-adjusted cocycle identity A_su = A_st + C_st A_tu C_ts on all triples.
 
-    Proved through the root chart when it can be (module docstring), else by
-    one batch of conjugations per ordered pair (s, t), over every third chart
-    u and basis vector; the checks come out in ``permutations`` order.
+    Proved through the root chart when it can be (module docstring), else
+    enumerated; the checks come out in ``permutations`` order.
     """
-    maximal = data.maximal()
-    if len(maximal) < 3:
+    if len(data.maximal()) < 3:
         return []
-    if (root_chart_law(data) and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
-            and triples_through_root(cocycle, data)):
+    if root_chart_law(data):
+        return gated_triple_identity(cocycle, data, check_frame_antisymmetry(cocycle, data))
+    return _enumerated_triples(cocycle, data)
+
+
+def gated_triple_identity(cocycle: MatrixCocycle, data: TransitionData,
+                          antisymmetry: list[FanCheck]) -> list[FanCheck]:
+    """The triple identity on transitions that pass :func:`validate_transitions`.
+
+    The gate has proved the root-chart law, so with the caller's frame
+    antisymmetry checks passing, the triples through the root chart stand
+    for all (module docstring); otherwise every triple is enumerated.
+    """
+    if all(c.ok for c in antisymmetry) and triples_through_root(cocycle, data):
         return triple_passes(data)
+    return _enumerated_triples(cocycle, data)
+
+
+def _enumerated_triples(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
+    """Every triple: one batch of conjugations per ordered pair (s, t), over every third u."""
+    maximal = data.maximal()
     pairs = cocycle.pairs
     checks = []
     for s, t in itertools.permutations(maximal, 2):

@@ -34,9 +34,23 @@ certificate, that re-verification plus chart-ring membership of each
 g_sigma.  Once the gate proves C_ts C_st = 1, the gauge law
 :func:`connection_from_splitting` checks on (s, t) is the splitting
 equation on (t, s), since delta(C_ts) C_st = -C_ts delta(C_st) by Leibniz,
-so the verdict does not check it again.  With the cocycle law proved too,
-frame antisymmetry, run once for both, and the triples through the root
-chart prove the triple identity (``cocycles`` docstring).
+so the verdict does not check it again.
+
+The verdict runs the solver before any check of the cocycle: with
+C_ts C_st = 1 and C_st C_tu = C_su proved by the gate, the verified
+equation on every ordered pair implies frame antisymmetry and the triple
+identity.  Conjugating the equation on (s, t) with ts,
+
+    -C_ts A_st C_st = C_ts g_s C_st - g_t = A_ts,
+
+and adding the equation on (t, u) conjugated with st to the one on (s, t),
+
+    A_st + C_st A_tu C_ts = C_su g_u C_us - g_s = A_su.
+
+So a found splitting lists the triple checks as passes with no further
+arithmetic; only a miss runs antisymmetry and the triples through the root
+chart (``cocycles`` docstring), to tell a broken cocycle from an empty
+search.
 """
 
 from __future__ import annotations
@@ -54,9 +68,9 @@ from .cocycles import (
     check_frame_antisymmetry,
     check_triple_identity,
     evaluate_linear,
+    gated_triple_identity,
     root_chart_law,
     triple_passes,
-    triples_through_root,
     validate_transitions,
 )
 from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_neg
@@ -111,10 +125,21 @@ class SplitResult:
                 f"before reaching depth {self.closure_depth + 1}")
 
 
-def _weight_cap(cap) -> int:
+class WeightCapError(ValueError):
+    """TORLOG_WEIGHT_CAP is set but is not an integer."""
+
+
+def weight_cap(cap=None) -> int:
+    """The closure depth cap: ``cap`` if given, else TORLOG_WEIGHT_CAP, else the default."""
     if cap is not None:
         return int(cap)
-    return int(os.environ.get("TORLOG_WEIGHT_CAP", DEFAULT_WEIGHT_CAP))
+    raw = os.environ.get("TORLOG_WEIGHT_CAP")
+    if raw is None:
+        return DEFAULT_WEIGHT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise WeightCapError(f"TORLOG_WEIGHT_CAP must be an integer, got {raw!r}") from None
 
 
 def _seed_and_shifts(cocycle: MatrixCocycle, data: TransitionData):
@@ -173,7 +198,7 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
     larger affine family.  A cocycle that is not frame-antisymmetric is
     refused; ``antisymmetry`` hands in its checks if the caller ran them.
     """
-    cap = _weight_cap(cap)
+    cap = weight_cap(cap)
     if antisymmetry is None:
         antisymmetry = check_frame_antisymmetry(cocycle, data)
     bad = [c.detail for c in antisymmetry if not c.ok]
@@ -398,8 +423,11 @@ def _require_splitting(cochain, cocycle, data):
 
 
 def _reduction_holds(cocycle, data) -> bool:
-    """The root-chart law and the triple identity, which the reduction rests on."""
-    return root_chart_law(data) and all(c.ok for c in check_triple_identity(cocycle, data))
+    """The root-chart law, frame antisymmetry and the triple identity, which the reduction rests on."""
+    if not root_chart_law(data):
+        return False
+    antisymmetry = check_frame_antisymmetry(cocycle, data)
+    return all(c.ok for c in antisymmetry + gated_triple_identity(cocycle, data, antisymmetry))
 
 
 def equivariant_splitting(data: EquivariantData) -> MatrixCochain:
@@ -455,29 +483,34 @@ def equivariance_verdict(data: TransitionData, cap=None):
     Returns (checks, split_result).  Only the failing checks of the
     ``validate_transitions`` gate enter the list; missing pairs fail the
     verdict at once, any other failure after the triple identity has run.
-    Past the gate, antisymmetry runs once and the triples through the root
-    chart stand for all (module docstring), else every triple is enumerated.
-    A found splitting, re-verified inside ``split_cocycle`` (the one
-    certificate, see the module docstring), certifies a logarithmic
-    connection and with it an equivariant structure; a miss is only
-    "nothing within the searched graded space" and is reported as
-    undetermined, never as a disproof.
+    Past the gate the solver runs first, handed no antisymmetry checks: the
+    Atiyah cocycle of gated transitions is antisymmetric by Leibniz, and a
+    found splitting proves it again.  A found splitting, re-verified inside
+    ``split_cocycle`` (the one certificate), also proves the triple identity
+    (module docstring), whose checks are then listed as passes; it certifies
+    a logarithmic connection and with it an equivariant structure.  On a
+    miss, antisymmetry and the triples through the root chart run
+    (``cocycles.gated_triple_identity``); a failing triple fails the verdict,
+    else the miss is only "nothing within the searched graded space" and is
+    reported as undetermined, never as a disproof.
     """
+    cap = weight_cap(cap)
     checks = [c for c in validate_transitions(data) if not c.ok]
     reasons = [f"transitions fail validation: {', '.join(c.name for c in checks)}"] if checks else []
     if not any(c.name == "transitions_present" for c in checks):  # else no cocycle to build
         cocycle = atiyah_cocycle(data)
-        antisymmetry = None if checks else check_frame_antisymmetry(cocycle, data)
-        reduced = (antisymmetry is not None and all(c.ok for c in antisymmetry)
-                   and triples_through_root(cocycle, data))
-        triples = triple_passes(data) if reduced else check_triple_identity(cocycle, data)
+        if checks:
+            triples = check_triple_identity(cocycle, data)
+        else:
+            result = split_cocycle(cocycle, data, cap=cap, antisymmetry=[])
+            triples = triple_passes(data) if result.found else gated_triple_identity(
+                cocycle, data, check_frame_antisymmetry(cocycle, data))
         checks += triples
         if not all(c.ok for c in triples):
             reasons.append("cocycle fails the triple identity")
     if reasons:
         checks.append(FanCheck("equivariance", "fail", "; ".join(reasons)))
-        return checks, SplitResult(None, _weight_cap(cap), 0, 0)
-    result = split_cocycle(cocycle, data, cap=cap, antisymmetry=antisymmetry)
+        return checks, SplitResult(None, cap, 0, 0)
     if result.found:
         checks.append(
             FanCheck(

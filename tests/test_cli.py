@@ -455,3 +455,52 @@ class TestGoldenReports:
         capsys.readouterr()
         assert len(got) == 49
         assert got == GOLDEN
+
+
+class TestWeightCapEnvironment:
+    """A TORLOG_WEIGHT_CAP that is not an integer is a usage error, not a failed check."""
+
+    @pytest.mark.parametrize("value", ["1.5", "abc"])
+    def test_library_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("TORLOG_WEIGHT_CAP", value)
+        with pytest.raises(ValueError, match=f"TORLOG_WEIGHT_CAP must be an integer, got '{value}'"):
+            splitting.weight_cap()
+        assert splitting.weight_cap(2) == 2  # an explicit cap beats the environment
+
+    @pytest.mark.parametrize("command", ["split", "equivariance"])
+    @pytest.mark.parametrize("value", ["1.5", "abc"])
+    @pytest.mark.parametrize("model", ["p1_o3", "p2_corrupted"])
+    def test_cli_exits_two(self, capsys, monkeypatch, command, value, model):
+        monkeypatch.setenv("TORLOG_WEIGHT_CAP", value)
+        code, out, err = run_cli(capsys, [command, str(MODELS / f"{model}.json")])
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"torlog: TORLOG_WEIGHT_CAP must be an integer, got '{value}'"]
+
+    def test_other_commands_ignore_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("TORLOG_WEIGHT_CAP", "abc")
+        code, _, err = run_cli(capsys, ["cocycle", str(MODELS / "p2_rank2.json")])
+        assert code == 0 and err == ""
+
+
+class TestCocycleCommandRunsEachLawOnce:
+    def test_one_antisymmetry_and_one_root_chart_pass(self, capsys, monkeypatch):
+        from torlog import cli, cocycles
+
+        calls = []
+
+        def counted(mod, name):
+            real = getattr(mod, name)
+
+            def spy(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(mod, name, spy)
+
+        counted(cocycles, "root_chart_law")
+        counted(cli, "check_frame_antisymmetry")
+        counted(cocycles, "check_frame_antisymmetry")
+        code, out, _ = run_cli(capsys, ["cocycle", str(MODELS / "p2_rank2.json")])
+        assert code == 0
+        assert sorted(calls) == ["check_frame_antisymmetry", "root_chart_law"]
+        triples = [v for v in json.loads(out)["verdicts"] if v["check"].startswith("triple_identity")]
+        assert len(triples) == 6 and all(v["status"] == "pass" for v in triples)

@@ -1,0 +1,34 @@
+"""The scripts under scripts/ run, and make_models.py reproduces models/ byte for byte."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def test_make_models_reproduces_the_bundled_models(tmp_path):
+    proc = run_script("make_models.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    bundled = {p.name: p.read_bytes() for p in (ROOT / "models").glob("*.json")}
+    made = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(made) == sorted(bundled)
+    for name in bundled:
+        assert made[name] == bundled[name], name
+
+
+def test_sweep_line_bundles_on_p2():
+    proc = run_script("sweep_line_bundles.py", "--fan", "p2", "--max-degree", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "# 5/5 degrees split within the search budget"

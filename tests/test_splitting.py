@@ -762,11 +762,11 @@ class TestReducedVerdict:
             self.compare(td, monkeypatch)
 
     @pytest.mark.parametrize("fan, before, after", [
-        (projective_fan(2), 34, 26),
-        (product_p1_fan(), 90, 54),
-        (hirzebruch_fan(1), 90, 54),
-        (hirzebruch_fan(2), 90, 54),
-        (projective_fan(3), 135, 81),
+        (projective_fan(2), 34, 16),
+        (product_p1_fan(), 90, 30),
+        (hirzebruch_fan(1), 90, 30),
+        (hirzebruch_fan(2), 90, 30),
+        (projective_fan(3), 135, 45),
     ], ids=["P2", "P1xP1", "F1", "F2", "P3"])
     def test_conjugated_matrices_per_verdict(self, fan, before, after, monkeypatch):
         # before: every triple enumerated, then split_cocycle with its own
@@ -783,3 +783,88 @@ class TestReducedVerdict:
             assert all(c.ok for c in check_triple_identity(A, td))
         assert split_cocycle(A, td).closure_depth == 0
         assert sum(sizes) == before
+
+
+def perturbed_cocycle(pair, E):
+    """atiyah_cocycle with E added to every basis matrix of one ordered pair."""
+    def build(td):
+        A = atiyah_cocycle(td)
+        A.pairs[pair] = tuple(M + E for M in A.pairs[pair])
+        return A
+    return build
+
+
+def enumerated_triples(A, td, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cocycles_mod, "triples_through_root", lambda *a: False)
+        return check_triple_identity(A, td)
+
+
+class TestCertificateFirst:
+    """A found splitting proves antisymmetry and the triple identity; only a miss checks them."""
+
+    def test_found_verdicts_skip_the_cocycle_checks(self, monkeypatch):
+        calls = []
+
+        def refuse(name):
+            def spy(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran on a found verdict")
+            return spy
+
+        rng = random.Random(808)
+        draws = [dressed_draw(fan, rank, rng) for fan in ladder_fans() for rank in (1, 2, 3)]
+        found = []
+        with monkeypatch.context() as m:
+            for mod in (cocycles_mod, splitting_mod):
+                for name in ("check_frame_antisymmetry", "triples_through_root"):
+                    if hasattr(mod, name):
+                        m.setattr(mod, name, refuse(name))
+            for td in draws:
+                found.append(equivariance_verdict(td))
+        assert calls == []
+        for td, (checks, result) in zip(draws, found):
+            assert checks[-1].status == "pass" and result.found
+            # what the certificate proved, confirmed by full enumeration
+            A = atiyah_cocycle(td)
+            assert all(c.ok for c in check_frame_antisymmetry(A, td))
+            assert as_tuples(checks[:-1]) == as_tuples(enumerated_triples(A, td, monkeypatch))
+
+    @pytest.mark.parametrize("fan", [projective_fan(2), product_p1_fan(), projective_fan(3)],
+                             ids=["P2", "P1xP1", "P3"])
+    def test_kernel_fault_never_passes(self, fan, monkeypatch):
+        td = dressed_draw(fan, 2, random.Random(909))
+        maximal = td.maximal()
+        root = maximal[-1]
+        E = LaurentMatrix([[LaurentPoly(), X((1,) + (0,) * (fan.dim - 1))],
+                           [LaurentPoly.const(3, fan.dim), LaurentPoly()]])
+        for pair in ((maximal[0], maximal[1]), (maximal[0], root), (root, maximal[1])):
+            build = perturbed_cocycle(pair, E)
+            monkeypatch.setattr(splitting_mod, "atiyah_cocycle", build)
+            checks, result = equivariance_verdict(td)
+            reference = enumerated_triples(build(td), td, monkeypatch)
+            assert not all(c.ok for c in reference)
+            assert as_tuples(checks[:-1]) == as_tuples(reference)
+            assert (checks[-1].status, checks[-1].detail) == (
+                "fail", "cocycle fails the triple identity")
+            assert not result.found and result.weights_searched == 0
+
+    def test_kernel_fault_on_two_charts_never_passes(self, monkeypatch):
+        td = dressed_draw(projective_fan(1), 2, random.Random(910))
+        E = LaurentMatrix([[LaurentPoly(), LaurentPoly.const(1, 1)],
+                           [LaurentPoly.const(3, 1), LaurentPoly()]])
+        for pair in ((1, 2), (2, 1)):
+            monkeypatch.setattr(splitting_mod, "atiyah_cocycle", perturbed_cocycle(pair, E))
+            # no triple to fail; antisymmetry fails, so the solver's failing
+            # candidate is a miss, not a solver fault
+            checks, result = equivariance_verdict(td)
+            assert checks == [checks[-1]] and checks[-1].status == "undetermined"
+            assert not result.found
+
+    def test_no_search_still_lists_the_triples(self):
+        td = dressed_draw(projective_fan(2), 2, random.Random(911))
+        checks, result = equivariance_verdict(td, cap=-1)
+        assert as_tuples(checks[:-1]) == as_tuples(cocycles_mod.triple_passes(td))
+        assert len(checks) == 7
+        assert checks[-1].status == "undetermined" and "cap -1, 0 weights" in checks[-1].detail
+        assert not result.found and result.weight_cap == -1
