@@ -427,7 +427,8 @@ def _reduction_holds(cocycle, data) -> bool:
     if not root_chart_law(data):
         return False
     antisymmetry = check_frame_antisymmetry(cocycle, data)
-    return all(c.ok for c in antisymmetry + gated_triple_identity(cocycle, data, antisymmetry))
+    return all(c.ok for c in antisymmetry) and all(
+        c.ok for c in gated_triple_identity(cocycle, data, antisymmetry))
 
 
 def equivariant_splitting(data: EquivariantData) -> MatrixCochain:

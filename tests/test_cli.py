@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torlog import splitting
+from torlog import cli, cocycles, splitting
 from torlog.cli import COMMANDS, UsageError, load_model, main, run
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -484,8 +484,6 @@ class TestWeightCapEnvironment:
 
 class TestCocycleCommandRunsEachLawOnce:
     def test_one_antisymmetry_and_one_root_chart_pass(self, capsys, monkeypatch):
-        from torlog import cli, cocycles
-
         calls = []
 
         def counted(mod, name):
