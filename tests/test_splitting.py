@@ -804,11 +804,8 @@ class TestCertificateFirst:
     """A found splitting proves antisymmetry and the triple identity; only a miss checks them."""
 
     def test_found_verdicts_skip_the_cocycle_checks(self, monkeypatch):
-        calls = []
-
         def refuse(name):
             def spy(*args):
-                calls.append(name)
                 raise AssertionError(f"{name} ran on a found verdict")
             return spy
 
@@ -822,7 +819,6 @@ class TestCertificateFirst:
                         m.setattr(mod, name, refuse(name))
             for td in draws:
                 found.append(equivariance_verdict(td))
-        assert calls == []
         for td, (checks, result) in zip(draws, found):
             assert checks[-1].status == "pass" and result.found
             # what the certificate proved, confirmed by full enumeration
