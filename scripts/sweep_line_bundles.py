@@ -31,7 +31,7 @@ from torlog.corpus import (
     random_dressing,
 )
 from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
-from torlog.splitting import connection_from_splitting, split_cocycle
+from torlog.splitting import WeightCapError, connection_from_splitting, split_cocycle, weight_cap
 
 FANS = {
     "p1": lambda a: projective_fan(1),
@@ -80,11 +80,16 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=int, default=None,
                         help="weight-closure depth cap (default: TORLOG_WEIGHT_CAP or 3)")
     args = parser.parse_args(argv)
+    try:
+        cap = weight_cap(args.cap)
+    except WeightCapError as exc:  # a usage error, not a degree that did not split
+        print(f"sweep_line_bundles: {exc}", file=sys.stderr)
+        return 2
 
     fan = FANS[args.fan](args.param)
     rng = random.Random(args.seed)
     degrees = range(-args.max_degree, args.max_degree + 1)
-    rows = sweep(fan, degrees, args.ray, args.dressed, rng, args.cap)
+    rows = sweep(fan, degrees, args.ray, args.dressed, rng, cap)
 
     print(f"# fan={args.fan} rays={len(fan.rays)} "
           f"maximal_cones={len(fan.maximal_cone_indices())} dressed={args.dressed}")

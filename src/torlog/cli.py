@@ -13,6 +13,7 @@ undetermined outcomes (e.g. the splitting search was inconclusive).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,15 @@ from .cocycles import (
     validate_transitions,
 )
 from .fans import Fan, FanCheck, build_fan, validate_fan
-from .laurent import LaurentMatrix, LaurentPoly, NotAUnitError, SingularMatrixError
+from .laurent import (
+    Coeff,
+    LaurentMatrix,
+    LaurentPoly,
+    NotAUnitError,
+    SingularMatrixError,
+    _poly,
+    exact,
+)
 from .reports import Report, cochain_payload, cocycle_payload, emit, int_poly_payload
 from .splitting import (
     InconsistentSplittingError,
@@ -98,26 +107,43 @@ def _int_vector(x, what: str, length: int | None = None) -> tuple[int, ...]:
     return vec
 
 
+_TERM_KEYS = {"exponent", "num", "den"}
+
+
 def _parse_poly(obj, n: int, what: str) -> LaurentPoly:
-    _expect(isinstance(obj, list), f"{what} must be an array of terms")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """One polynomial, each term read straight into its canonical exact coefficient.
+
+    The checks run in schema order, and each message is formatted only when
+    its check fails.
+    """
+    if not isinstance(obj, list):
+        raise ModelParseError(f"{what} must be an array of terms")
+    terms: dict[tuple[int, ...], Coeff] = {}
     for k, term in enumerate(obj):
-        where = f"{what}, term {k}"
-        _expect(isinstance(term, dict), f"{where} must be an object")
-        _expect(
-            set(term) == {"exponent", "num", "den"},
-            f"{where} must have exactly the keys exponent/num/den",
-        )
-        e = _int_vector(term["exponent"], f"{where} exponent", n)
-        num = _as_int(term["num"], f"{where} num")
-        den = _as_int(term["den"], f"{where} den")
-        _expect(den != 0, f"{where} has denominator zero")
-        c = terms.get(e, Fraction(0)) + Fraction(num, den)
-        if c:
-            terms[e] = c
-        else:
-            terms.pop(e, None)
-    return LaurentPoly(terms)
+        if not isinstance(term, dict):
+            raise ModelParseError(f"{what}, term {k} must be an object")
+        if term.keys() != _TERM_KEYS:
+            raise ModelParseError(f"{what}, term {k} must have exactly the keys exponent/num/den")
+        e, num, den = term["exponent"], term["num"], term["den"]
+        if type(e) is not list or not all(type(a) is int for a in e) or len(e) != n:
+            _int_vector(e, f"{what}, term {k} exponent", n)  # raises the schema message
+        if type(num) is not int:
+            _as_int(num, f"{what}, term {k} num")
+        if type(den) is not int:
+            _as_int(den, f"{what}, term {k} den")
+        if not den:
+            raise ModelParseError(f"{what}, term {k} has denominator zero")
+        c = num // den if num % den == 0 else Fraction(num, den)
+        e = tuple(e)
+        if e in terms:
+            c = exact(terms[e] + c)
+            if not c:
+                del terms[e]
+                continue
+        elif not c:
+            continue
+        terms[e] = c
+    return _poly(terms)
 
 
 def _parse_fan(raw: dict):
@@ -394,7 +420,9 @@ def run(command: str, model: ModelFile) -> Report:
     return rep
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="torlog",
         description="Logarithmic connections and equivariant structures on toric bundles.",
@@ -403,8 +431,12 @@ def main(argv=None) -> int:
     parser.add_argument("model", help="path to a model JSON file")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", help="write the report here instead of stdout")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
 

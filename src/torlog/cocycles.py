@@ -116,6 +116,13 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
 
     Both laws are enumerated pair by pair only when :func:`root_chart_law`
     fails, which proves them on every triple otherwise (module docstring).
+
+    Determinants are expanded only when chart membership or the root-chart
+    law fails, since the two together prove every determinant a unit of its
+    overlap ring: C_st C_ts = 1 gives det C_st * det C_ts = 1 in the Laurent
+    ring, whose units are the monomials c chi^m, so det C_st = c chi^m and
+    det C_ts = c^-1 chi^-m; with both matrices over the overlap ring (a
+    ring), both determinants lie in it, so chi^m is a unit there.
     """
     fan = data.fan
     n = fan.dim
@@ -132,17 +139,17 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
     if missing:
         return checks
 
-    member_bad = []
+    overlaps = {(s, t): fan.cones[fan.overlap_index(s, t)] for s, t in data.ordered_pairs()}
+    member_bad = [(s, t) for (s, t), overlap in overlaps.items()
+                  if not matrix_chart_member(data.pair(s, t), overlap, fan)]
+    through_root = root_chart_law(data)
     unit_bad = []
-    for s, t in data.ordered_pairs():
-        C = data.pair(s, t)
-        overlap = fan.cones[fan.overlap_index(s, t)]
-        if not matrix_chart_member(C, overlap, fan):
-            member_bad.append((s, t))
-        det = matrix_det(C)
-        if len(det.terms) != 1:
-            unit_bad.append((s, t, "determinant is not a monomial"))
-        else:
+    if member_bad or not through_root:  # else every determinant is a unit (docstring)
+        for (s, t), overlap in overlaps.items():
+            det = matrix_det(data.pair(s, t))
+            if len(det.terms) != 1:
+                unit_bad.append((s, t, "determinant is not a monomial"))
+                continue
             (exp, _), = det.terms.items()
             inv_exp = tuple(-x for x in exp)
             if not chart_member(LaurentPoly.monomial(exp), overlap, fan) or not chart_member(
@@ -158,7 +165,6 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
                  f"{unit_bad}" if unit_bad else "")
     )
 
-    through_root = root_chart_law(data)
     I = LaurentMatrix.identity(data.rank, n)
     inverse_bad = [] if through_root else [
         (s, t) for s, t in data.ordered_pairs() if s < t and data.pair(s, t) * data.pair(t, s) != I]

@@ -4,14 +4,16 @@ Vectors in the cocharacter lattice N and the character lattice M are plain
 integer tuples; the perfect pairing between them is the dot product.  Fans
 are simplicial and rational: every cone is described by the indices of its
 extremal rays, and all geometry (faces, smoothness, completeness) reduces
-to exact integer linear algebra on the ray generators.
+to exact integer linear algebra on the ray generators.  Ranks and
+determinants come from one integer elimination, :func:`bareiss`, which
+never leaves the integers; the invariant factors of a cone that is not
+full-dimensional come from :func:`smith_invariants`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from operator import add, mul, sub
 
@@ -83,10 +85,15 @@ class Fan:
     cones: tuple[Cone, ...]
     declared_complete: bool = False
     _cone_lookup: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _maximal: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         lookup = {c.ray_indices: i for i, c in enumerate(self.cones)}
         object.__setattr__(self, "_cone_lookup", lookup)
+        sets = [set(c.ray_indices) for c in self.cones]
+        maximal = tuple(i for i, s in enumerate(sets)
+                        if not any(s < other for other in sets))
+        object.__setattr__(self, "_maximal", maximal)
 
     def cone_index(self, ray_indices) -> int:
         key = tuple(sorted(ray_indices))
@@ -98,13 +105,8 @@ class Fan:
         return tuple(sorted(ray_indices)) in self._cone_lookup
 
     def maximal_cone_indices(self) -> list[int]:
-        """Indices of cones not properly contained in another listed cone."""
-        out = []
-        for i, c in enumerate(self.cones):
-            s = set(c.ray_indices)
-            if not any(j != i and s < set(d.ray_indices) for j, d in enumerate(self.cones)):
-                out.append(i)
-        return out
+        """Indices of cones not properly contained in another listed cone (a fresh list)."""
+        return list(self._maximal)
 
     def overlap_index(self, i: int, j: int) -> int:
         """Index of the face shared by cones i and j (their ray intersection)."""
@@ -151,52 +153,42 @@ def is_face(tau: Cone, sigma: Cone, fan: Fan) -> bool:
     return set(tau.ray_indices) <= set(sigma.ray_indices)
 
 
-def _rank_of_rows(rows) -> int:
-    # plain fraction-free Gaussian elimination; rows are integer tuples
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
+def bareiss(rows) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by Bareiss's fraction-free elimination.
+
+    Pivots are taken column by column from the first nonzero entry at or
+    below the current row.  Each row below the pivot p is updated entrywise
+    to (p * a - c * b) / p_prev, where c is the row's entry under p, b the
+    pivot row's entry above a, and p_prev the previous pivot (1 at first).
+    After k pivots every entry left below row k is a (k+1)-minor of the
+    input, so by Sylvester's identity the division is exact and no
+    rationals appear (Bareiss, Math. Comp. 22, 1968).  The last pivot of a
+    square matrix of full rank is its determinant up to the sign of the row
+    swaps; the determinant is 0 for a singular or non-square matrix.
+    """
+    work = [list(row) for row in rows]
+    m = len(work)
+    n = len(work[0]) if work else 0
+    rank, prev, sign = 0, 1, 1
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if work[i][col]), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            sign = -sign
         pr = work[rank]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                f = work[i][col] / pr[col]
-                work[i] = [a - f * b for a, b in zip(work[i], pr)]
+        p = pr[col]
+        for i in range(rank + 1, m):
+            row = work[i]
+            c = row[col]
+            work[i] = [(p * a - c * b) // prev for a, b in zip(row, pr)]
+        prev = p
         rank += 1
-    return rank
-
-
-def _det_int(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                f = work[i][col] / work[col][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    assert det.denominator == 1
-    return int(det)
+        if rank == m:
+            break
+    det = sign * prev if rank == m == n else 0
+    return rank, det
 
 
 def smith_invariants(rows) -> list[int]:
@@ -265,7 +257,7 @@ def cone_is_smooth(fan: Fan, cone: Cone) -> bool:
         return True
     rows = fan.ray_matrix(cone)
     if len(rows) == fan.dim:
-        return abs(_det_int(rows)) == 1
+        return abs(bareiss(rows)[1]) == 1
     return all(d == 1 for d in smith_invariants(rows))
 
 
@@ -307,7 +299,7 @@ def validate_fan(fan: Fan) -> list[FanCheck]:
     nonsimp = []
     for i, c in enumerate(fan.cones):
         rows = fan.ray_matrix(c)
-        if rows and _rank_of_rows(rows) != len(rows):
+        if rows and bareiss(rows)[0] != len(rows):
             nonsimp.append(i)
     checks.append(
         FanCheck("simplicial", "fail" if nonsimp else "pass",

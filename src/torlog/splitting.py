@@ -142,13 +142,19 @@ def weight_cap(cap=None) -> int:
         raise WeightCapError(f"TORLOG_WEIGHT_CAP must be an integer, got {raw!r}") from None
 
 
-def _seed_and_shifts(cocycle: MatrixCocycle, data: TransitionData):
+def _seed(cocycle: MatrixCocycle, data: TransitionData) -> set:
+    """The depth-0 weights: zero and every exponent of the cocycle."""
     seed = {(0,) * data.fan.dim}
     for mats in cocycle.pairs.values():
         for M in mats:
             for row in M.entries:
                 for f in row:
                     seed.update(f.terms)
+    return seed
+
+
+def _shifts(data: TransitionData) -> set:
+    """The nonzero weight shifts of conjugation: ±(e1 + e2) over the exponents of C_st and C_ts."""
     shifts = set()
     for (s, t), C in data.matrices.items():
         if s > t:
@@ -161,7 +167,7 @@ def _seed_and_shifts(cocycle: MatrixCocycle, data: TransitionData):
                 shifts.add(vec_add(e1, e2))
     shifts |= {vec_neg(d) for d in shifts}
     shifts.discard((0,) * data.fan.dim)
-    return seed, shifts
+    return shifts
 
 
 def _close_weights(seed, shifts, depth):
@@ -205,12 +211,15 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
     if bad:
         raise ValueError(f"cocycle is not frame-antisymmetric on {bad[0]}; refusing to split")
 
-    seed, shifts = _seed_and_shifts(cocycle, data)
+    seed = _seed(cocycle, data)
+    shifts = ()  # depth 0 is the seed alone; the shifts are built when the search deepens
     last_count = 0
     cochain = None
     depth_used = 0
     truncated = False
     for depth in range(cap + 1):
+        if depth == 1:
+            shifts = _shifts(data)
         weights, truncated = _close_weights(seed, shifts, depth)
         if depth > 0 and len(weights) == last_count:
             break  # closure is saturated or cut at the same level; deeper passes repeat it
@@ -492,23 +501,33 @@ def equivariance_verdict(data: TransitionData, cap=None):
     a logarithmic connection and with it an equivariant structure.  On a
     miss, antisymmetry and the triples through the root chart run
     (``cocycles.gated_triple_identity``); a failing triple fails the verdict,
-    else the miss is only "nothing within the searched graded space" and is
-    reported as undetermined, never as a disproof.
+    and so does failing antisymmetry when every triple passes, as on two
+    charts, where there is no triple (the splitting equation implies
+    antisymmetry, so no splitting exists).  Else the miss is only "nothing
+    within the searched graded space" and is reported as undetermined,
+    never as a disproof.
     """
     cap = weight_cap(cap)
     checks = [c for c in validate_transitions(data) if not c.ok]
     reasons = [f"transitions fail validation: {', '.join(c.name for c in checks)}"] if checks else []
     if not any(c.name == "transitions_present" for c in checks):  # else no cocycle to build
         cocycle = atiyah_cocycle(data)
+        antisymmetry = []
         if checks:
             triples = check_triple_identity(cocycle, data)
         else:
             result = split_cocycle(cocycle, data, cap=cap, antisymmetry=[])
-            triples = triple_passes(data) if result.found else gated_triple_identity(
-                cocycle, data, check_frame_antisymmetry(cocycle, data))
+            if result.found:
+                triples = triple_passes(data)
+            else:
+                antisymmetry = check_frame_antisymmetry(cocycle, data)
+                triples = gated_triple_identity(cocycle, data, antisymmetry)
         checks += triples
         if not all(c.ok for c in triples):
             reasons.append("cocycle fails the triple identity")
+        elif not all(c.ok for c in antisymmetry):  # two charts: no triple to fail
+            checks += [c for c in antisymmetry if not c.ok]
+            reasons.append("cocycle fails frame antisymmetry")
     if reasons:
         checks.append(FanCheck("equivariance", "fail", "; ".join(reasons)))
         return checks, SplitResult(None, cap, 0, 0)

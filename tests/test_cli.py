@@ -3,14 +3,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from torlog import cli, cocycles, splitting
 from torlog.cli import COMMANDS, UsageError, load_model, main, run
+from torlog.laurent import LaurentPoly
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -502,3 +505,105 @@ class TestCocycleCommandRunsEachLawOnce:
         assert sorted(calls) == ["check_frame_antisymmetry", "root_chart_law"]
         triples = [v for v in json.loads(out)["verdicts"] if v["check"].startswith("triple_identity")]
         assert len(triples) == 6 and all(v["status"] == "pass" for v in triples)
+
+
+def p1_with_entry(poly):
+    model = p1_fan_block()
+    model["transitions"] = {"1,2": [[poly]]}
+    return model
+
+
+def term(**changes):
+    return {"exponent": [0], "num": 1, "den": 1, **changes}
+
+
+class TestTermParsing:
+    """Each term is read straight into its canonical coefficient, with the old messages."""
+
+    WHERE = "torlog: transitions[1,2][0][0]"
+
+    @pytest.mark.parametrize("poly, message", [
+        ({"a": 1}, " must be an array of terms"),
+        ([5], ", term 0 must be an object"),
+        ([term(extra=0)], ", term 0 must have exactly the keys exponent/num/den"),
+        ([{"exponent": [0], "num": 1}], ", term 0 must have exactly the keys exponent/num/den"),
+        ([term(exponent=3)], ", term 0 exponent must be an array of integers"),
+        ([term(exponent=[1.5])], ", term 0 exponent must be an integer"),
+        ([term(exponent=[0, 1])], ", term 0 exponent must have length 1, got 2"),
+        ([term(num=True)], ", term 0 num must be an integer"),
+        ([term(den="2")], ", term 0 den must be an integer"),
+        ([term(den=0)], ", term 0 has denominator zero"),
+        ([term(), term(exponent=[True])], ", term 1 exponent must be an integer"),
+        ([term(), term(num=1, den=0)], ", term 1 has denominator zero"),
+    ], ids=["poly-not-array", "term-not-object", "extra-key", "missing-key",
+            "exponent-not-array", "exponent-entry", "exponent-length", "bool-num",
+            "non-int-den", "zero-den", "second-term-exponent", "second-term-den"])
+    def test_every_error_branch_keeps_its_message(self, capsys, tmp_path, poly, message):
+        code, out, err = run_cli(capsys, ["validate", write_model(tmp_path, p1_with_entry(poly))])
+        assert (code, out) == (2, "")
+        assert err == self.WHERE + message + "\n"
+
+    @pytest.mark.parametrize("poly, terms", [
+        ([term(num=2, den=2)], {(0,): 1}),
+        ([term(num=-6, den=-3)], {(0,): 2}),
+        ([term(num=1, den=-2)], {(0,): Fraction(-1, 2)}),
+        ([term(num=4, den=6)], {(0,): Fraction(2, 3)}),
+        ([term(exponent=[1]), term(exponent=[1], num=-1), term()], {(0,): 1}),
+        ([term(num=1, den=2), term(num=1, den=2)], {(0,): 1}),
+        ([term(num=1, den=3), term(num=1, den=6)], {(0,): Fraction(1, 2)}),
+        ([term(num=0)], {}),
+        ([term(num=0), term(num=3)], {(0,): 3}),
+    ])
+    def test_exact_coefficients(self, poly, terms):
+        got = cli._parse_poly(poly, 1, "p").terms
+        assert got == terms
+        assert [type(c) for c in got.values()] == [type(c) for c in terms.values()]
+
+    def test_matches_summing_fractions(self):
+        rng = random.Random(1109)
+        for _ in range(300):
+            poly = [term(exponent=[rng.randint(-1, 1), rng.randint(-1, 1)],
+                         num=rng.randint(-4, 4), den=rng.choice([-3, -2, -1, 1, 2, 3, 4]))
+                    for _ in range(rng.randint(0, 6))]
+            sums = {}
+            for t in poly:
+                e = tuple(t["exponent"])
+                sums[e] = sums.get(e, Fraction(0)) + Fraction(t["num"], t["den"])
+            got = cli._parse_poly(poly, 2, "p")
+            assert got == LaurentPoly(sums)
+            assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                       for c in got.terms.values())
+
+    def test_loaded_transitions_are_canonical(self):
+        for path in sorted(MODELS.glob("*.json")):
+            td = load_model(str(path)).transitions
+            for C in td.matrices.values():
+                for row in C.entries:
+                    for f in row:
+                        assert all(c and type(c) is (int if Fraction(c).denominator == 1
+                                                     else Fraction) for c in f.terms.values())
+
+
+class TestOneParserPerProcess:
+    """main reuses one parser; each call prints what a fresh process prints."""
+
+    CALLS = [
+        (["validate", str(MODELS / "p2_rank2.json"), "--format", "text"], 0),
+        (["equivariance", str(MODELS / "p1_o3.json"), "--format", "json"], 0),
+        (["--help"], 0),
+        (["frobnicate", str(MODELS / "p1_o3.json")], 2),
+        (["cocycle", str(MODELS / "p2_corrupted.json"), "--format", "text"], 1),
+    ]
+
+    def test_in_process_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for argv, want in self.CALLS:
+            code, out, err = run_cli(capsys, argv)
+            fresh = subprocess.run([sys.executable, "-m", "torlog.cli", *argv],
+                                   capture_output=True, text=True, env=env, check=False)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert code == want and (out or err)
+        assert cli._parser() is cli._parser()

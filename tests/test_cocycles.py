@@ -595,3 +595,70 @@ class TestTripleReduction:
         assert check_triple_identity(atiyah_cocycle(td), td) == []
         assert enumerated(atiyah_cocycle(td), td, monkeypatch) == []
 
+
+
+def forced_validation(data, monkeypatch):
+    """validate_transitions with the root-chart law failing: every determinant and law enumerated."""
+    with monkeypatch.context() as m:
+        m.setattr(cocycles_mod, "root_chart_law", lambda d: False)
+        return validate_transitions(data)
+
+
+def failing_fixtures():
+    """The failing transition data of TestValidateTransitions and TestCocycleLawThroughRoot."""
+    fan = projective_fan(1)
+    yield TransitionData(fan, 1, {(1, 2): LaurentMatrix([[X((-1,))]])})
+    fan = projective_fan(2)
+    yield TransitionData(fan, 1, {(4, 5): LaurentMatrix([[X((-1, 0))]]),
+                                  (5, 4): LaurentMatrix([[X((1, 0))]])})
+    yield TransitionData(projective_fan(1), 1, {
+        (1, 2): LaurentMatrix([[const(1) + X((1,))]]), (2, 1): LaurentMatrix([[const(1)]])})
+    td = diagonal_transitions(line_bundle_data(projective_fan(2), 1))
+    td.matrices[(4, 5)] = td.matrices[(4, 5)].scale(2)
+    td.matrices[(5, 4)] = td.matrices[(5, 4)].scale("1/2")
+    yield td
+    rng = random.Random(82)
+    for fan in (projective_fan(2), product_p1_fan(), hirzebruch_fan(1), projective_fan(3)):
+        data = random_equivariant_data(fan, 2, rng)
+        base = dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+        s, t = base.ordered_pairs()[0]
+        scaled = TransitionData(base.fan, base.rank, dict(base.matrices))
+        scaled.matrices[(s, t)] = base.pair(s, t).scale(3)
+        scaled.matrices[(t, s)] = base.pair(t, s).scale("1/3")
+        yield scaled
+        one_side = TransitionData(base.fan, base.rank, dict(base.matrices))
+        one_side.matrices[(s, t)] = base.pair(s, t) + LaurentMatrix(
+            [[LaurentPoly(), X((0,) * fan.dim)], [LaurentPoly(), LaurentPoly()]])
+        yield one_side
+    yield load_model(str(MODELS / "p2_corrupted.json")).transitions
+
+
+class TestDeterminantsFromTheGate:
+    """Chart membership and the root-chart law prove the unit determinants (docstring)."""
+
+    def test_ladder_draws_match_the_forced_path(self, monkeypatch):
+        for td in ladder_draws(97):
+            checks = validate_transitions(td)
+            assert as_tuples(checks) == as_tuples(forced_validation(td, monkeypatch))
+            assert all(c.ok for c in checks)
+
+    def test_failing_fixtures_match_the_forced_path(self, monkeypatch):
+        fixtures = list(failing_fixtures())
+        for td in fixtures:
+            checks = validate_transitions(td)
+            assert as_tuples(checks) == as_tuples(forced_validation(td, monkeypatch))
+            assert not all(c.ok for c in checks)
+        failing = {c.name for td in fixtures for c in validate_transitions(td) if not c.ok}
+        assert failing == {"transitions_present", "chart_membership", "unit_determinants",
+                           "inverse_pairing", "cocycle_law"}
+
+    def test_no_determinant_past_the_gate(self, monkeypatch):
+        expanded = []
+        real = cocycles_mod.matrix_det
+        monkeypatch.setattr(cocycles_mod, "matrix_det", lambda C: expanded.append(C) or real(C))
+        for td in ladder_draws(98):
+            assert all(c.ok for c in validate_transitions(td))
+        assert expanded == []
+        td = load_model(str(MODELS / "p2_corrupted.json")).transitions
+        validate_transitions(td)
+        assert len(expanded) == len(td.ordered_pairs())

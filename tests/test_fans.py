@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from torlog.fans import (
     Cone,
     DimensionError,
+    bareiss,
     build_fan,
     cone_is_smooth,
     hirzebruch_fan,
@@ -208,3 +210,101 @@ def test_random_fans_have_consistent_maximal_sets():
         assert len(maximal) == n + 1
         for i in maximal:
             assert fan.cones[i].dim == n
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction, the reference for bareiss."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] / work[rank][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def seeded_matrices(seed, count):
+    """Integer matrices up to 4x4: dense, low-rank products, and with zero rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        kind = rng.choice(["dense", "low_rank", "zero_rows"])
+        if kind == "low_rank":
+            r = rng.randint(1, min(m, n))
+            a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)]
+                    for i in range(m)]
+        else:
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            if kind == "zero_rows":
+                for i in rng.sample(range(m), rng.randint(1, m)):
+                    rows[i] = [0] * n
+        yield rows
+
+
+class TestBareiss:
+    """The one integer elimination behind the simplicial and smooth checks."""
+
+    def test_matches_fraction_rank_and_cofactor_determinant(self):
+        squares = 0
+        for rows in seeded_matrices(1968, 600):
+            rank, det = bareiss(rows)
+            assert rank == fraction_rank(rows), rows
+            if len(rows) == len(rows[0]):
+                squares += 1
+                assert det == cofactor_det(rows), rows
+            else:
+                assert det == 0
+        assert squares > 100
+
+    @pytest.mark.parametrize("rows, rank, det", [
+        ([[0, 1], [1, 0]], 2, -1),                       # one swap
+        ([[-2, 1], [1, -2]], 2, 3),                      # negative pivots
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3, -1),
+        ([[2, 4], [1, 2]], 1, 0),
+        ([[0, 0], [0, 0]], 0, 0),
+        ([[0, 0, 0], [0, -3, 1]], 1, 0),                 # a zero row first, a skipped column
+        ([[-1, 2, 0], [3, 0, 5], [0, 0, 0]], 2, 0),
+        ([[0, 2], [0, 3], [1, 0]], 2, 0),
+        ([[-7]], 1, -7),
+    ])
+    def test_small_cases(self, rows, rank, det):
+        assert bareiss(rows) == (rank, det)
+
+    def test_input_is_not_modified(self):
+        rows = [[2, 1], [4, 3]]
+        assert bareiss(rows) == (2, 2)
+        assert rows == [[2, 1], [4, 3]]
+
+
+class TestMaximalCones:
+    def test_matches_the_definition(self):
+        fans = [projective_fan(1), projective_fan(2), projective_fan(3), product_p1_fan(),
+                hirzebruch_fan(1), build_fan([(1, 0), (0, 1)], [(), (0,), (1,), (0, 1)])[0],
+                build_fan([(1, 0), (0, 1), (-1, -1)], [(), (0,), (1,), (2,), (0, 1)])[0]]
+        for fan in fans:
+            cones = [set(c.ray_indices) for c in fan.cones]
+            assert fan.maximal_cone_indices() == [
+                i for i, c in enumerate(cones)
+                if not any(j != i and c < d for j, d in enumerate(cones))]
+
+    def test_each_call_returns_a_fresh_list(self):
+        fan = projective_fan(2)
+        first = fan.maximal_cone_indices()
+        first.append(99)
+        first.sort(reverse=True)
+        assert fan.maximal_cone_indices() == [4, 5, 6]
+        assert fan.maximal_cone_indices() is not fan.maximal_cone_indices()

@@ -32,3 +32,14 @@ def test_sweep_line_bundles_on_p2():
     proc = run_script("sweep_line_bundles.py", "--fan", "p2", "--max-degree", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "# 5/5 degrees split within the search budget"
+
+
+def test_sweep_line_bundles_reports_a_malformed_cap_as_a_usage_error(monkeypatch):
+    monkeypatch.setenv("TORLOG_WEIGHT_CAP", "abc")
+    proc = run_script("sweep_line_bundles.py", "--fan", "p1", "--max-degree", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "sweep_line_bundles: TORLOG_WEIGHT_CAP must be an integer, got 'abc'"]
+    # an explicit --cap beats the environment, as in the library
+    proc = run_script("sweep_line_bundles.py", "--fan", "p1", "--max-degree", "1", "--cap", "2")
+    assert proc.returncode == 0, proc.stderr

@@ -32,6 +32,7 @@ from torlog.laurent import LaurentMatrix, LaurentPoly, chart_member, matrix_char
 from torlog.splitting import (
     InconsistentSplittingError,
     MatrixCochain,
+    SplitResult,
     connection_from_splitting,
     equivariance_verdict,
     equivariant_splitting,
@@ -852,10 +853,12 @@ class TestCertificateFirst:
         for pair in ((1, 2), (2, 1)):
             monkeypatch.setattr(splitting_mod, "atiyah_cocycle", perturbed_cocycle(pair, E))
             # no triple to fail; antisymmetry fails, so the solver's failing
-            # candidate is a miss, not a solver fault
+            # candidate is a miss, not a solver fault, and the verdict fails
             checks, result = equivariance_verdict(td)
-            assert checks == [checks[-1]] and checks[-1].status == "undetermined"
-            assert not result.found
+            assert as_tuples(checks) == [
+                ("frame_antisymmetry[1,2]", "fail", "pair (1,2)"),
+                ("equivariance", "fail", "cocycle fails frame antisymmetry")]
+            assert result == SplitResult(None, splitting_mod.weight_cap(), 0, 0)
 
     def test_no_search_still_lists_the_triples(self):
         td = dressed_draw(projective_fan(2), 2, random.Random(911))
@@ -864,3 +867,38 @@ class TestCertificateFirst:
         assert len(checks) == 7
         assert checks[-1].status == "undetermined" and "cap -1, 0 weights" in checks[-1].detail
         assert not result.found and result.weight_cap == -1
+
+
+def count_shift_builds(monkeypatch):
+    builds = []
+    real = splitting_mod._shifts
+    monkeypatch.setattr(splitting_mod, "_shifts", lambda data: builds.append(1) or real(data))
+    return builds
+
+
+class TestShiftsOnlyPastDepthZero:
+    """The weight-closure shifts are built only when the search deepens past the seed."""
+
+    def test_no_shifts_for_a_depth_zero_find(self, monkeypatch):
+        rng = random.Random(1212)
+        draws = [dressed_draw(fan, rank, rng) for fan in ladder_fans() for rank in (1, 2, 3)]
+        models = [load_model(str(path)) for path in sorted(MODELS.glob("*.json"))
+                  if path.stem != "p2_corrupted"]
+        draws += [model.transitions for model in models if model.transitions is not None]
+        builds = count_shift_builds(monkeypatch)
+        for td in draws:
+            result = split_cocycle(atiyah_cocycle(td), td)
+            assert result.found and result.closure_depth == 0
+            checks, verdict = equivariance_verdict(td)
+            assert checks[-1].ok and verdict.closure_depth == 0
+        assert builds == []
+
+    def test_a_deeper_search_builds_them_once(self, monkeypatch):
+        builds = count_shift_builds(monkeypatch)
+        cocycle, td = unsplittable_cocycle()
+        result = split_cocycle(cocycle, td, cap=6)
+        assert (result.closure_depth, result.weights_searched, result.truncated) == (6, 27, False)
+        assert builds == [1]
+        builds.clear()
+        assert split_cocycle(cocycle, td, cap=0).weights_searched == 3
+        assert builds == []
