@@ -574,15 +574,6 @@ class TestTermParsing:
             assert all(type(c) is (int if c.denominator == 1 else Fraction)
                        for c in got.terms.values())
 
-    def test_loaded_transitions_are_canonical(self):
-        for path in sorted(MODELS.glob("*.json")):
-            td = load_model(str(path)).transitions
-            for C in td.matrices.values():
-                for row in C.entries:
-                    for f in row:
-                        assert all(c and type(c) is (int if Fraction(c).denominator == 1
-                                                     else Fraction) for c in f.terms.values())
-
 
 class TestOneParserPerProcess:
     """main reuses one parser; each call prints what a fresh process prints."""
