@@ -147,17 +147,27 @@ def _parse_poly(obj, n: int, what: str) -> LaurentPoly:
 
 
 def _parse_fan(raw: dict):
+    """The fan block, each ray and cone checked inline.
+
+    The checks run in schema order, and a ray's or cone's name is formatted
+    only when one of its checks fails.
+    """
     n = _as_int(raw["rank_n"], "rank_n")
     _expect(n >= 1, "rank_n must be positive")
-    _expect(isinstance(raw["rays"], list) and raw["rays"], "rays must be a nonempty array")
-    rays = [_int_vector(r, f"ray {i}", n) for i, r in enumerate(raw["rays"])]
-    _expect(isinstance(raw["cones"], list), "cones must be an array")
-    cones = []
-    for i, c in enumerate(raw["cones"]):
-        idxs = _int_vector(c, f"cone {i}")
-        for k in idxs:
-            _expect(0 <= k < len(rays), f"cone {i} references missing ray {k}")
-        cones.append(idxs)
+    rays = raw["rays"]
+    _expect(isinstance(rays, list) and rays, "rays must be a nonempty array")
+    for i, r in enumerate(rays):
+        if type(r) is not list or not all(type(a) is int for a in r) or len(r) != n:
+            _int_vector(r, f"ray {i}", n)  # raises the schema message
+    cones = raw["cones"]
+    _expect(isinstance(cones, list), "cones must be an array")
+    count = len(rays)
+    for i, c in enumerate(cones):
+        if type(c) is not list or not all(type(k) is int for k in c):
+            _int_vector(c, f"cone {i}")  # raises the schema message
+        for k in c:
+            if not 0 <= k < count:
+                raise ModelParseError(f"cone {i} references missing ray {k}")
     _expect(isinstance(raw["declared_complete"], bool), "declared_complete must be a boolean")
     try:
         fan, warnings = build_fan(rays, cones, dim=n, declared_complete=raw["declared_complete"])

@@ -6,10 +6,14 @@ exact equality without reference outputs:
 
 * weight families come from per-ray integer data (one integer a_rho per
   ray), solved cone by cone against the ray generators — restrictions to a
-  shared face then agree automatically, line by line;
+  shared face then agree automatically, line by line.  On a unimodular
+  cone the cached inverse ray matrix is integral, and the solve stays in
+  int arithmetic; only a cone whose inverse is not integral goes through
+  Fraction, to raise the error it always raised;
 * transition matrices are dressed diagonals H_s * diag(chi^(m_s - m_t)) * H_t^{-1}
   with unitriangular H's over the chart rings, which satisfies the cocycle
-  law on every triple by construction.
+  law on every triple by construction.  The diagonal is applied as a column
+  shift of H_s, so each ordered pair costs one matrix product.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .bundles import EquivariantData
 from .cocycles import TransitionData
 from .fans import Cone, Fan, IntVec, hirzebruch_fan, product_p1_fan, projective_fan, vec_sub
-from .laurent import LaurentMatrix, LaurentPoly, matrix_inverse_unit
+from .laurent import Coeff, LaurentMatrix, LaurentPoly, exact, matrix_inverse_unit
 
 
 def _invert_rows(rows) -> list[list[Fraction]]:
@@ -44,9 +49,13 @@ def _invert_rows(rows) -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=256)
-def _ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a cone's integer ray matrix, computed once per matrix."""
-    return tuple(map(tuple, _invert_rows(rays)))
+def _ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[Coeff, ...], ...]:
+    """Exact inverse of a cone's integer ray matrix, computed once per matrix.
+
+    Entries are canonical: an int when integral, else a Fraction, so the
+    inverse of a unimodular cone is all ints.
+    """
+    return tuple(tuple(map(exact, row)) for row in _invert_rows(rays))
 
 
 def _require_smooth_full(fan: Fan, cone: Cone):
@@ -59,12 +68,18 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
 
     ``ray_values`` maps ray index -> integer a_rho.  Only smooth
     full-dimensional cones give an integral solution, and we insist on one.
+    Integer values against an integral inverse give an int solution at once;
+    anything else is solved over Fraction.
     """
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
     inv = _ray_inverse(tuple(fan.ray_matrix(cone)))
-    target = [-Fraction(ray_values[k]) for k in cone.ray_indices]
-    m = [sum(inv[i][j] * target[j] for j in range(len(target))) for i in range(fan.dim)]
+    values = [ray_values[k] for k in cone.ray_indices]
+    m = tuple(-sum(map(mul, row, values)) for row in inv)
+    if all(type(x) is int for x in m):
+        return m
+    target = [-Fraction(a) for a in values]
+    m = [sum(map(mul, row, target)) for row in inv]
     if any(x.denominator != 1 for x in m):
         raise ValueError(f"non-integral weight on cone {cone_index}: {m}")
     return tuple(int(x) for x in m)
@@ -113,45 +128,57 @@ def chart_monomial(fan: Fan, cone_index: int, rng: random.Random, bound: int = 3
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
     inv = _ray_inverse(tuple(fan.ray_matrix(cone)))
-    if any(x.denominator != 1 for row in inv for x in row):
+    if not all(type(x) is int for row in inv for x in row):
         raise ValueError("dual basis is not integral; cone is not smooth")
-    # columns of the inverse ray matrix form the dual basis of the generators
-    dual = [tuple(int(inv[j][i]) for j in range(fan.dim)) for i in range(fan.dim)]
-    m = [0] * fan.dim
-    for u in dual:
-        c = rng.randint(0, bound)
-        m = [a + c * b for a, b in zip(m, u)]
-    return tuple(m)
+    # columns of the inverse ray matrix form the dual basis of the generators;
+    # one draw per basis vector, in column order
+    counts = [rng.randint(0, bound) for _ in range(fan.dim)]
+    return tuple(sum(map(mul, row, counts)) for row in inv)
 
 
 def random_dressing(fan: Fan, rank: int, rng: random.Random,
                     factors: int = 2, bound: int = 2) -> dict[int, LaurentMatrix]:
-    """One unitriangular matrix over the chart ring per maximal cone (det = 1)."""
+    """One unitriangular matrix over the chart ring per maximal cone (det = 1).
+
+    Each factor is unitriangular, upper on even steps and lower on odd ones;
+    the dressing is their product, starting from the first factor (the
+    identity when there are none).
+    """
+    identity = LaurentMatrix.identity(rank, fan.dim)
     out = {}
     for ci in fan.maximal_cone_indices():
-        H = LaurentMatrix.identity(rank, fan.dim)
+        H = identity
         for step in range(factors):
-            rows = [[LaurentPoly.const(int(i == j), fan.dim) for j in range(rank)]
-                    for i in range(rank)]
+            rows = [list(row) for row in identity.entries]
             for i in range(rank):
                 for j in range(rank):
                     upper = i < j if step % 2 == 0 else i > j
                     if upper and rng.random() < 0.7:
                         c = rng.choice([-2, -1, 1, 2])
                         rows[i][j] = LaurentPoly.monomial(chart_monomial(fan, ci, rng, bound), c)
-            H = H * LaurentMatrix(rows)
+            factor = LaurentMatrix(rows)
+            H = factor if step == 0 else H * factor
         out[ci] = H
     return out
 
 
 def dressed_transitions(data: EquivariantData,
                         dressing: dict[int, LaurentMatrix]) -> TransitionData:
-    """H_s * diag(chi^(m^s - m^t)) * H_t^{-1} over every ordered pair."""
-    base = diagonal_transitions(data)
+    """H_s * diag(chi^(m^s - m^t)) * H_t^{-1} over every ordered pair.
+
+    The diagonal factor multiplies column i of H_s by chi^(m_i^s - m_i^t),
+    so it is applied as a shift of that column's exponents, and each pair
+    costs the one product with H_t^{-1}.
+    """
+    maximal = sorted(data.weights)
     inverses = {ci: matrix_inverse_unit(H) for ci, H in dressing.items()}
     mats = {}
-    for (s, t), D in base.matrices.items():
-        mats[(s, t)] = dressing[s] * D * inverses[t]
+    for s in maximal:
+        for t in maximal:
+            if s == t:
+                continue
+            shifts = map(vec_sub, data.weights[s], data.weights[t])
+            mats[(s, t)] = dressing[s].shift_columns(shifts) * inverses[t]
     return TransitionData(data.fan, data.rank, mats)
 
 

@@ -7,7 +7,9 @@ extremal rays, and all geometry (faces, smoothness, completeness) reduces
 to exact integer linear algebra on the ray generators.  Ranks and
 determinants come from one integer elimination, :func:`bareiss`, which
 never leaves the integers; the invariant factors of a cone that is not
-full-dimensional come from :func:`smith_invariants`.
+full-dimensional come from :func:`smith_invariants`.  :func:`validate_fan`
+proves the per-cone checks from the maximal cones when it can, one
+elimination each, and enumerates every cone only when that proof fails.
 """
 
 from __future__ import annotations
@@ -272,10 +274,38 @@ class FanCheck:
         return self.status == "pass"
 
 
+def _maximal_cones_unimodular(fan: Fan) -> bool:
+    """True when every maximal cone is full-dimensional with ray determinant +-1.
+
+    One :func:`bareiss` per maximal cone, whose determinant is 0 unless the
+    ray matrix is square.  Then every listed cone with distinct rays passes
+    the simplicial and smooth checks: it lies in a maximal cone, and part of
+    a lattice basis is linearly independent and extends to a basis.
+    """
+    return all(abs(bareiss(fan.ray_matrix(fan.cones[i]))[1]) == 1 for i in fan._maximal)
+
+
+def _maximal_faces_listed(fan: Fan) -> bool:
+    """True when every proper face of every maximal cone is a listed cone.
+
+    Then every listed cone with distinct rays has its proper faces listed,
+    since they are proper faces of a maximal cone containing it.
+    """
+    for i in fan._maximal:
+        rays = fan.cones[i].ray_indices
+        for size in range(len(rays)):
+            if not all(fan.has_cone(sub) for sub in itertools.combinations(rays, size)):
+                return False
+    return True
+
+
 def validate_fan(fan: Fan) -> list[FanCheck]:
     """Run all structural checks on a fan and report each verdict.
 
     Nothing is thrown; callers decide which failures they can live with.
+    When every cone has distinct rays, :func:`_maximal_cones_unimodular`
+    proves the simplicial and smooth checks and :func:`_maximal_faces_listed`
+    the face closure; a check whose proof fails enumerates every cone.
     """
     checks = []
 
@@ -296,18 +326,22 @@ def validate_fan(fan: Fan) -> list[FanCheck]:
                  f"duplicate ray sets at cone indices {dups}" if dups else "")
     )
 
+    distinct_rays = all(len(set(c.ray_indices)) == c.dim for c in fan.cones)
+    unimodular = distinct_rays and _maximal_cones_unimodular(fan)
+
     nonsimp = []
-    for i, c in enumerate(fan.cones):
-        rows = fan.ray_matrix(c)
-        if rows and bareiss(rows)[0] != len(rows):
-            nonsimp.append(i)
+    if not unimodular:
+        for i, c in enumerate(fan.cones):
+            rows = fan.ray_matrix(c)
+            if rows and bareiss(rows)[0] != len(rows):
+                nonsimp.append(i)
     checks.append(
         FanCheck("simplicial", "fail" if nonsimp else "pass",
                  f"linearly dependent generators in cones {nonsimp}" if nonsimp else "")
     )
 
     nonsmooth = []
-    if not nonsimp:
+    if not nonsimp and not unimodular:
         nonsmooth = [i for i, c in enumerate(fan.cones) if not cone_is_smooth(fan, c)]
     checks.append(
         FanCheck("smooth", "fail" if nonsmooth else "pass",
@@ -315,11 +349,12 @@ def validate_fan(fan: Fan) -> list[FanCheck]:
     )
 
     unclosed = []
-    for c in fan.cones:
-        for size in range(len(c.ray_indices)):
-            for sub in itertools.combinations(c.ray_indices, size):
-                if not fan.has_cone(sub):
-                    unclosed.append((c.ray_indices, sub))
+    if not (distinct_rays and _maximal_faces_listed(fan)):
+        for c in fan.cones:
+            for size in range(len(c.ray_indices)):
+                for sub in itertools.combinations(c.ray_indices, size):
+                    if not fan.has_cone(sub):
+                        unclosed.append((c.ray_indices, sub))
     checks.append(
         FanCheck("face_closure", "fail" if unclosed else "pass",
                  f"missing faces: {unclosed[:4]}" if unclosed else "")

@@ -356,6 +356,15 @@ class LaurentMatrix:
 
     __mul__ = mul_add
 
+    def shift_columns(self, exponents) -> "LaurentMatrix":
+        """self * diag(chi^e_0, ..., chi^e_{r-1}): column q multiplied by chi^e_q."""
+        exponents = tuple(exponents)
+        if len(exponents) != self.size:
+            raise DimensionError(f"{len(exponents)} shifts for a matrix of size {self.size}")
+        return LaurentMatrix._square(tuple(
+            tuple(f.shift(e) if f.terms else f for f, e in zip(row, exponents))
+            for row in self.entries))
+
     def scale(self, c) -> "LaurentMatrix":
         return LaurentMatrix._square(tuple(tuple(a.scale(c) for a in row) for row in self.entries))
 
@@ -512,10 +521,26 @@ def matrix_det(C: LaurentMatrix) -> LaurentPoly:
     return _poly(_canonical(_det_terms(_term_rows(C))))
 
 
+def _scaled(terms: dict, shift: IntVec, c: Coeff) -> dict:
+    """The canonical term map of c * chi^shift times a raw term map.
+
+    Each exponent moves by ``shift`` (skipped when it is zero) and each
+    coefficient is multiplied by c (skipped when c is 1); zeros are dropped.
+    """
+    if any(shift):
+        terms = {tuple(map(add, e, shift)): v for e, v in terms.items()}
+    if c != 1:
+        terms = {e: v * c for e, v in terms.items()}
+    return _canonical(terms)
+
+
 def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
     """Invert a matrix whose determinant is a unit of the Laurent ring.
 
     Units are single monomial terms c*chi^m; anything else is rejected.
+    Entry (i, j) of the inverse is the (j, i) cofactor scaled by the
+    inverse unit c^-1 chi^-m directly: its exponents shift by -m and its
+    coefficients are multiplied by the signed 1/c, an int when c is +-1.
     The result satisfies C * C^-1 == identity exactly.
     """
     rows = _term_rows(C)
@@ -531,15 +556,15 @@ def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
     r = C.size
     if r == 1:
         return LaurentMatrix._square(((_poly({inv_exp: inv_c}),),))
-    # entry (i, j) of the inverse: the (j, i) cofactor times 1/det
-    signed = ({inv_exp: inv_c}, {inv_exp: -inv_c})
+    signed = (inv_c, -inv_c)
     out = []
     for i in range(r):
-        accs = {}
+        entries = []
         for j in range(r):
             minor = [row[:i] + row[i + 1:] for p, row in enumerate(rows) if p != j]
-            _accumulate(accs.setdefault(j, {}), _det_terms(minor), signed[(i + j) % 2])
-        out.append(_entries(accs, r))
+            terms = _scaled(_det_terms(minor), inv_exp, signed[(i + j) % 2])
+            entries.append(_poly(terms) if terms else _ZERO)
+        out.append(tuple(entries))
     return LaurentMatrix._square(tuple(out))
 
 

@@ -37,6 +37,9 @@ class Report:
 
 
 def rational_parts(c: Fraction) -> tuple[int, int]:
+    """Numerator and positive denominator in lowest terms; an int is (c, 1)."""
+    if type(c) is int:
+        return c, 1
     c = Fraction(c)
     return c.numerator, c.denominator
 

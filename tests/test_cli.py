@@ -598,3 +598,48 @@ class TestOneParserPerProcess:
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
             assert code == want and (out or err)
         assert cli._parser() is cli._parser()
+
+
+class TestFanParsing:
+    """The fan block is checked inline; every branch prints the message it printed before."""
+
+    # messages recorded at the commit before the inline checks
+    @pytest.mark.parametrize("change, message", [
+        ({"rank_n": "1"}, "rank_n must be an integer"),
+        ({"rank_n": True}, "rank_n must be an integer"),
+        ({"rank_n": 0}, "rank_n must be positive"),
+        ({"rays": {"a": 1}}, "rays must be a nonempty array"),
+        ({"rays": []}, "rays must be a nonempty array"),
+        ({"rays": [5, [-1]]}, "ray 0 must be an array of integers"),
+        ({"rays": [[1], 5]}, "ray 1 must be an array of integers"),
+        ({"rays": [[1], [True]]}, "ray 1 must be an integer"),
+        ({"rays": [[1], [1.0]]}, "ray 1 must be an integer"),
+        ({"rays": [[1], [-1, 0]]}, "ray 1 must have length 1, got 2"),
+        ({"rays": [[1], [0.5, 1]]}, "ray 1 must be an integer"),
+        ({"rays": [[1], ["a"]], "cones": "x"}, "ray 1 must be an integer"),
+        ({"cones": "x"}, "cones must be an array"),
+        ({"cones": [[], 3]}, "cone 1 must be an array of integers"),
+        ({"cones": [[], ["0"]]}, "cone 1 must be an integer"),
+        ({"cones": [[], [False]]}, "cone 1 must be an integer"),
+        ({"cones": [[], [2]]}, "cone 1 references missing ray 2"),
+        ({"cones": [[], [-1]]}, "cone 1 references missing ray -1"),
+        ({"cones": [[], [5, "a"]]}, "cone 1 must be an integer"),
+        ({"cones": [[], [3], ["a"]]}, "cone 1 references missing ray 3"),
+        ({"declared_complete": 1}, "declared_complete must be a boolean"),
+    ], ids=["rank-str", "rank-bool", "rank-zero", "rays-object", "rays-empty",
+            "first-ray-not-array", "ray-not-array", "ray-bool", "ray-float", "ray-length",
+            "ray-type-before-length", "ray-before-cones", "cones-not-array", "cone-not-array",
+            "cone-str", "cone-bool", "cone-missing-ray", "cone-negative-ray",
+            "cone-type-before-range", "missing-ray-before-later-cone", "complete-not-bool"])
+    def test_every_error_branch_keeps_its_message(self, capsys, tmp_path, change, message):
+        code, out, err = run_cli(capsys, ["validate", write_model(tmp_path, {**p1_fan_block(),
+                                                                            **change})])
+        assert (code, out, err) == (2, "", f"torlog: {message}\n")
+
+    def test_a_zero_ray_fails_construction(self, capsys, tmp_path):
+        model = {**p1_fan_block(), "rays": [[0], [-1]]}
+        code, out, err = run_cli(capsys, ["validate", write_model(tmp_path, model)])
+        assert (code, err) == (3, "")
+        assert out == ('{"artifacts":{},"command":"validate","verdicts":[{"check":"model",'
+                       '"detail":"fan construction failed: cannot primitivize the zero vector",'
+                       '"status":"fail"}]}\n')

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from torlog import fans as fans_mod
 from torlog.fans import (
     Cone,
     DimensionError,
     bareiss,
     build_fan,
     cone_is_smooth,
+    downward_closure,
     hirzebruch_fan,
     is_face,
     pairing,
@@ -308,3 +310,66 @@ class TestMaximalCones:
         first.sort(reverse=True)
         assert fan.maximal_cone_indices() == [4, 5, 6]
         assert fan.maximal_cone_indices() is not fan.maximal_cone_indices()
+
+
+def fan_fixtures():
+    """Every fan this file builds, passing and failing, plus cones with a repeated ray."""
+    fixtures = [projective_fan(1), projective_fan(2), projective_fan(3), product_p1_fan(),
+                hirzebruch_fan(1), hirzebruch_fan(2), hirzebruch_fan(3)]
+    for rays, cones, kw in [
+        ([(1,), (-1,)], [(), (0,), (1,)], {"declared_complete": True}),
+        ([(1, 0), (1, 2)], [(), (0,), (1,), (0, 1)], {}),
+        ([(1, 0), (-1, 0)], [(), (0,), (1,), (0, 1)], {}),
+        ([(1,), (-1,)], [(), (0,), (1,), (0,)], {}),
+        ([(1, 0), (0, 1)], [(), (0, 1)], {}),
+        ([(1, 0), (0, 1)], [(), (0,), (0, 1)], {}),
+        ([(1, 0), (-1, 0), (0, 1)], [(), (0,), (1,), (2,), (0, 2), (1, 2)], {}),
+        ([(1, 0), (-1, 0), (0, 1)], [(), (0,), (1,), (2,), (0, 2), (1, 2)],
+         {"declared_complete": True}),
+        ([(1, 0)], [(), (0,)], {"dim": 2}),
+        ([(3, 5)], [(), (0,)], {"dim": 2}),
+        ([(1, 0, 0), (1, 2, 0)], [(), (0,), (1,), (0, 1)], {"dim": 3}),
+        ([(2, 4), (0, 1)], [(), (0,), (1,)], {}),
+        ([(1, 0), (0, 1)], [(), (0,), (1,), (0, 1), (0, 0)], {}),
+        ([(1, 0), (0, 1)], [(), (0,), (0, 1), (0, 0)], {}),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], downward_closure([(0, 1, 2)]) + [(0, 0, 1)], {}),
+    ]:
+        fixtures.append(build_fan(rays, cones, **kw)[0])
+    return fixtures
+
+
+def as_tuples(checks):
+    return [(c.name, c.status, c.detail) for c in checks]
+
+
+class TestChecksFromTheMaximalCones:
+    """Unimodular maximal cones prove simplicial and smooth; their faces prove face closure."""
+
+    def test_every_fixture_matches_the_enumeration(self, monkeypatch):
+        fixtures = fan_fixtures()
+        proved = [as_tuples(validate_fan(fan)) for fan in fixtures]
+        monkeypatch.setattr(fans_mod, "_maximal_cones_unimodular", lambda fan: False)
+        monkeypatch.setattr(fans_mod, "_maximal_faces_listed", lambda fan: False)
+        assert [as_tuples(validate_fan(fan)) for fan in fixtures] == proved
+        failing = {name for checks in proved for name, status, _ in checks if status == "fail"}
+        assert failing == {"distinct_cones", "simplicial", "smooth", "face_closure", "complete"}
+
+    def test_a_repeated_ray_is_never_proved(self):
+        fan = build_fan([(1, 0), (0, 1)], [(), (0,), (1,), (0, 1), (0, 0)])[0]
+        by = checks_by_name(validate_fan(fan))
+        assert by["simplicial"].detail == "linearly dependent generators in cones [4]"
+        fan = build_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                        downward_closure([(0, 1, 2)]) + [(0, 0, 1)])[0]
+        assert checks_by_name(validate_fan(fan))["face_closure"].detail == (
+            "missing faces: [((0, 0, 1), (0, 0))]")
+
+    @pytest.mark.parametrize("fan", [projective_fan(2), product_p1_fan(), hirzebruch_fan(1),
+                                     hirzebruch_fan(2), projective_fan(3)],
+                             ids=["P2", "P1xP1", "F1", "F2", "P3"])
+    def test_one_elimination_per_maximal_cone(self, fan, monkeypatch):
+        calls = []
+        real = fans_mod.bareiss
+        monkeypatch.setattr(fans_mod, "bareiss", lambda rows: calls.append(rows) or real(rows))
+        monkeypatch.setattr(fans_mod, "smith_invariants", lambda rows: calls.append(None))
+        assert all(c.ok for c in validate_fan(fan))
+        assert calls == [fan.ray_matrix(fan.cones[i]) for i in fan.maximal_cone_indices()]

@@ -549,3 +549,57 @@ class TestDeterminantOnTermMaps:
             assert C * inv == I and inv * C == I
             assert matrix_inverse_unit(inv) == C
             assert canonical(inv)
+
+
+def reference_inverse(C: LaurentMatrix) -> LaurentMatrix:
+    """Cofactors times the unit's inverse, by LaurentPoly arithmetic over Fraction."""
+    r = C.size
+    ((exp, c),) = reference_det(C).terms.items()
+    unit = X(tuple(-x for x in exp), Fraction(1) / c)
+    cof = [[(reference_det(LaurentMatrix([row[:i] + row[i + 1:] for p, row in enumerate(C.entries)
+                                          if p != j])) if r > 1 else LaurentPoly.const(1, 2))
+             * unit * LaurentPoly.const((-1) ** (i + j), 2) for j in range(r)] for i in range(r)]
+    return LaurentMatrix(cof)
+
+
+class TestScaledCofactors:
+    """matrix_inverse_unit scales each cofactor by the unit's inverse directly."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_matches_the_reference_inverse(self):
+        rng = random.Random(912)
+        units = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+        for _ in range(60):
+            r = rng.choice([1, 2, 3, 4])
+            upper = draw_matrix(rng, r, 2, self.COEFFS).entries
+            unitriangular = LaurentMatrix([[LaurentPoly.const(1, 2) if i == j else
+                                            upper[i][j] if i < j else LaurentPoly()
+                                            for j in range(r)] for i in range(r)])
+            diag = LaurentMatrix.diagonal(
+                [X((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(units)) for _ in range(r)])
+            C = unitriangular * diag if rng.random() < 0.5 else diag * unitriangular
+            inv = matrix_inverse_unit(C)
+            assert inv == reference_inverse(C)
+            assert canonical(inv)
+
+    def test_plus_minus_one_stays_int(self):
+        one, x = LaurentPoly.const(1, 2), X((1, 0), 2)
+        C = LaurentMatrix([[X((0, 1), -1), x], [LaurentPoly(), one]])
+        inv = matrix_inverse_unit(C)
+        assert inv == LaurentMatrix([[X((0, -1), -1), X((1, -1), 2)], [LaurentPoly(), one]])
+        assert all(type(c) is int for row in inv.entries for f in row for c in f.terms.values())
+
+
+class TestShiftColumns:
+    def test_equals_the_product_with_a_diagonal(self):
+        rng = random.Random(913)
+        for _ in range(40):
+            r = rng.choice([1, 2, 3])
+            M = draw_matrix(rng, r, 2, TestFusedProduct.COEFFS)
+            shifts = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(r)]
+            assert M.shift_columns(shifts) == M * LaurentMatrix.diagonal([X(e) for e in shifts])
+
+    def test_one_shift_per_column(self):
+        with pytest.raises(DimensionError):
+            LaurentMatrix.identity(2, 2).shift_columns([(0, 0)])

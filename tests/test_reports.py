@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from torlog import reports
 from torlog.bundles import IntPoly
 from torlog.fans import FanCheck
 from torlog.laurent import LaurentMatrix, LaurentPoly
@@ -26,6 +27,14 @@ class TestPayloads:
         assert rational_parts(Fraction(2, 4)) == (1, 2)
         assert rational_parts(Fraction(-3, -6)) == (1, 2)
         assert rational_parts(Fraction(5)) == (5, 1)
+
+    def test_int_coefficients_build_no_fraction(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(reports, "Fraction", lambda c: built.append(c) or Fraction(c))
+        assert rational_parts(-7) == (-7, 1) and rational_parts(0) == (0, 1)
+        p = LaurentPoly({(1, 0): 3, (0, 0): -1, (2, 1): Fraction(1, 2)})
+        assert [(t["num"], t["den"]) for t in poly_payload(p)] == [(-1, 1), (3, 1), (1, 2)]
+        assert built == [Fraction(1, 2)]
 
     def test_poly_terms_sorted_by_exponent(self):
         p = LaurentPoly({(1, 0): Fraction(1, 2), (-2, 3): 4, (0, 0): -1})
