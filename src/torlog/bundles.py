@@ -19,9 +19,9 @@ integer polynomials in the coordinates of N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import mul
 
-from .fans import Fan, FanCheck, IntVec, cone_is_smooth, pairing
+from .fans import Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
 from .laurent import LaurentPoly, chart_member, delta_apply
 
 
@@ -130,10 +130,12 @@ def recover_weights(fan: Fan, residues: list[ResidueMatrix]) -> tuple[IntVec, ..
     """Invert the residue map over one smooth full-dimensional cone.
 
     Given one diagonal residue per ray of the cone, solves
-    <m_i, v_rho> = -(entry i at rho) for each i and checks the solution is
-    integral.  Raises UnderdeterminedError when the cone is not smooth and
-    full-dimensional, NoSolutionError when the system has no lattice
-    solution.
+    <m_i, v_rho> = -(entry i at rho) for each i as m_i = -inv * entries_i,
+    with inv the cached inverse ray matrix :func:`torlog.fans.ray_inverse`.
+    Raises UnderdeterminedError when the cone is not smooth and
+    full-dimensional.  A smooth full-dimensional cone has ray determinant
+    +-1, so inv is integral and every integer residue has a lattice
+    solution: NoSolutionError is never raised here.
     """
     if not residues:
         raise ValueError("need at least one residue matrix")
@@ -155,43 +157,10 @@ def recover_weights(fan: Fan, residues: list[ResidueMatrix]) -> tuple[IntVec, ..
     ranks = {len(R.entries) for R in residues}
     if len(ranks) != 1:
         raise ValueError("residue matrices disagree on rank")
-    r = ranks.pop()
 
-    rays = [fan.rays[k] for k in cone.ray_indices]
-    n = fan.dim
-    weights = []
-    for i in range(r):
-        rhs = [Fraction(-by_ray[k].entries[i]) for k in cone.ray_indices]
-        sol = _solve_square([list(map(Fraction, v)) for v in rays], rhs)
-        if sol is None:
-            raise NoSolutionError(f"residue system for eigenline {i} is inconsistent")
-        if any(x.denominator != 1 for x in sol):
-            raise NoSolutionError(f"residue system for eigenline {i} has no lattice solution")
-        weights.append(tuple(int(x) for x in sol))
-    return tuple(weights)
-
-
-def _solve_square(rows, rhs):
-    # exact Gaussian elimination; rows is n x n over Fraction
-    n = len(rows)
-    aug = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pr = aug[col]
-        inv = Fraction(1) / pr[col]
-        aug[col] = [a * inv for a in pr]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    inv = ray_inverse(tuple(fan.ray_matrix(cone)))
+    columns = [by_ray[k].entries for k in cone.ray_indices]
+    return tuple(tuple(-sum(map(mul, row, line)) for row in inv) for line in zip(*columns))
 
 
 class ConnectionForm:
@@ -262,19 +231,21 @@ def section_in_chart(data: EquivariantData, section: EigenSection) -> bool:
 # integer polynomials in the coordinates of N, for the Chern data
 
 
-class IntPoly:
-    """Dense-enough multivariate integer polynomial, dict exponent -> coeff."""
+class IntPoly(LaurentPoly):
+    """Integer polynomial in the coordinates of N, on LaurentPoly's term map.
 
-    __slots__ = ("coeffs",)
+    Construction (a float raises TypeError), equality and repr are
+    LaurentPoly's; ``+`` and ``*`` are too, re-wrapped so results stay
+    IntPoly.  This adds only what LaurentPoly lacks, reading ``.terms``.
+    """
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                c = int(c)
-                if c != 0:
-                    clean[tuple(exp)] = c
-        self.coeffs = clean
+    __slots__ = ()
+
+    def __add__(self, other: LaurentPoly) -> "IntPoly":
+        return _int_poly(LaurentPoly.__add__(self, other).terms)
+
+    def __mul__(self, other: LaurentPoly) -> "IntPoly":
+        return _int_poly(LaurentPoly.__mul__(self, other).terms)
 
     @classmethod
     def constant(cls, c: int, nvars: int) -> "IntPoly":
@@ -285,38 +256,9 @@ class IntPoly:
         n = len(m)
         return cls({tuple(1 if j == i else 0 for j in range(n)): m[i] for i in range(n)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = out.get(exp, 0) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        res = IntPoly.__new__(IntPoly)
-        res.coeffs = out
-        return res
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        res = IntPoly.__new__(IntPoly)
-        res.coeffs = out
-        return res
-
     def evaluate(self, point: IntVec) -> int:
         total = 0
-        for exp, c in self.coeffs.items():
+        for exp, c in self.terms.items():
             term = c
             for x, e in zip(point, exp):
                 term *= x**e
@@ -330,9 +272,9 @@ class IntPoly:
         this evaluates at the origin.
         """
         k = len(vectors)
-        if not self.coeffs:
+        if not self.terms:
             return IntPoly()
-        nvars = len(next(iter(self.coeffs)))
+        nvars = len(next(iter(self.terms)))
         # coordinate i of v becomes the linear form sum_j vectors[j][i] t_j
         coord = [
             IntPoly({tuple(1 if q == j else 0 for q in range(k)): vectors[j][i]
@@ -340,7 +282,7 @@ class IntPoly:
             for i in range(nvars)
         ]
         total = IntPoly()
-        for exp, c in self.coeffs.items():
+        for exp, c in self.terms.items():
             term = IntPoly.constant(c, k)
             for i, e in enumerate(exp):
                 for _ in range(e):
@@ -349,17 +291,14 @@ class IntPoly:
         return total
 
     def sorted_items(self):
-        return sorted(self.coeffs.items())
+        return sorted(self.terms.items())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*v^{list(e)}" for e, c in self.sorted_items())
+def _int_poly(terms: dict) -> IntPoly:
+    """Wrap a term map that is already canonical."""
+    res = IntPoly.__new__(IntPoly)
+    res.terms = terms
+    return res
 
 
 def elementary_symmetric(forms: list[IntPoly], upto: int, nvars: int) -> list[IntPoly]:

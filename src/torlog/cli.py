@@ -457,8 +457,7 @@ def main(argv=None) -> int:
         return 2
     except ModelInvalidError as exc:
         checks = exc.checks or [FanCheck("model", "fail", str(exc))]
-        _write(emit(Report(args.command, list(checks)), args.format), args.out)
-        return 3
+        return _write(emit(Report(args.command, list(checks)), args.format), args.out, 3)
 
     try:
         report = run(args.command, model)
@@ -466,16 +465,24 @@ def main(argv=None) -> int:
         print(f"torlog: {exc}", file=sys.stderr)
         return 2
 
-    _write(emit(report, args.format), args.out)
-    return report.exit_code
+    return _write(emit(report, args.format), args.out, report.exit_code)
 
 
-def _write(data: bytes, out: str | None):
-    if out:
+def _write(data: bytes, out: str | None, code: int) -> int:
+    """Write the report to out, else to stdout, and return code.
+
+    An unwritable report path is a usage error (exit 2), not a failed check.
+    """
+    if not out:
+        sys.stdout.write(data.decode("utf-8"))
+        return code
+    try:
         with open(out, "wb") as fh:
             fh.write(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    except OSError as exc:
+        print(f"torlog: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ exact equality without reference outputs:
 
 * weight families come from per-ray integer data (one integer a_rho per
   ray), solved cone by cone against the ray generators — restrictions to a
-  shared face then agree automatically, line by line.  On a unimodular
-  cone the cached inverse ray matrix is integral, and the solve stays in
-  int arithmetic; only a cone whose inverse is not integral goes through
-  Fraction, to raise the error it always raised;
+  shared face then agree automatically, line by line.  The inverse ray
+  matrix is :func:`torlog.fans.ray_inverse`, cached there; on a unimodular
+  cone it is integral, and the solve stays in int arithmetic; only a cone
+  whose inverse is not integral goes through Fraction, to raise the error
+  it always raised;
 * transition matrices are dressed diagonals H_s * diag(chi^(m_s - m_t)) * H_t^{-1}
   with unitriangular H's over the chart rings, which satisfies the cocycle
   law on every triple by construction.  The diagonal is applied as a column
@@ -20,42 +21,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .bundles import EquivariantData
 from .cocycles import TransitionData
-from .fans import Cone, Fan, IntVec, hirzebruch_fan, product_p1_fan, projective_fan, vec_sub
-from .laurent import Coeff, LaurentMatrix, LaurentPoly, exact, matrix_inverse_unit
-
-
-def _invert_rows(rows) -> list[list[Fraction]]:
-    """Exact inverse of a small square matrix given as a list of rows."""
-    n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("ray matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [a * inv for a in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
-@lru_cache(maxsize=256)
-def _ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[Coeff, ...], ...]:
-    """Exact inverse of a cone's integer ray matrix, computed once per matrix.
-
-    Entries are canonical: an int when integral, else a Fraction, so the
-    inverse of a unimodular cone is all ints.
-    """
-    return tuple(tuple(map(exact, row)) for row in _invert_rows(rays))
+from .fans import (Cone, Fan, IntVec, hirzebruch_fan, product_p1_fan, projective_fan,
+                   ray_inverse as _ray_inverse, vec_sub)
+from .laurent import LaurentMatrix, LaurentPoly, matrix_inverse_unit
 
 
 def _require_smooth_full(fan: Fan, cone: Cone):
@@ -69,7 +41,7 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
     ``ray_values`` maps ray index -> integer a_rho.  Only smooth
     full-dimensional cones give an integral solution, and we insist on one.
     Integer values against an integral inverse give an int solution at once;
-    anything else is solved over Fraction.
+    anything else is multiplied out over Fraction.
     """
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)

@@ -6,7 +6,8 @@ are simplicial and rational: every cone is described by the indices of its
 extremal rays, and all geometry (faces, smoothness, completeness) reduces
 to exact integer linear algebra on the ray generators.  Ranks and
 determinants come from one integer elimination, :func:`bareiss`, which
-never leaves the integers; the invariant factors of a cone that is not
+never leaves the integers, nor does :func:`ray_inverse`, the cached exact
+inverse of a square ray matrix; the invariant factors of a cone that is not
 full-dimensional come from :func:`smith_invariants`.  :func:`validate_fan`
 proves the per-cone checks from the maximal cones when it can, one
 elimination each, and enumerates every cone only when that proof fails.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
 
@@ -191,6 +194,28 @@ def bareiss(rows) -> tuple[int, int]:
             break
     det = sign * prev if rank == m == n else 0
     return rank, det
+
+
+@lru_cache(maxsize=256)
+def ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[int | Fraction, ...], ...]:
+    """Exact inverse of a square integer matrix, computed once per matrix.
+
+    Entry (i, j) is the (j, i) cofactor over the determinant, both taken
+    from :func:`bareiss`.  Entries are canonical: an int when integral, else
+    a Fraction, so a unimodular matrix has an all-int inverse.  Raises
+    ValueError on a singular or non-square matrix.
+    """
+    n = len(rays)
+    det = bareiss(rays)[1]
+    if det == 0:
+        raise ValueError("ray matrix is singular")
+
+    def entry(i: int, j: int) -> int | Fraction:
+        minor = [row[:i] + row[i + 1:] for k, row in enumerate(rays) if k != j]
+        c = (-1) ** (i + j) * bareiss(minor)[1]
+        return c // det if c % det == 0 else Fraction(c, det)
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 def smith_invariants(rows) -> list[int]:

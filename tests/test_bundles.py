@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -334,3 +336,44 @@ class TestLineBundleCorpus:
     def test_noSolution_error_exists(self):
         # the error type is part of the recovery contract
         assert issubclass(NoSolutionError, ValueError)
+
+
+class TestIntPolyOnLaurentTerms:
+    """IntPoly is a LaurentPoly on the same term map, adding only what Chern data need."""
+
+    def test_sums_and_products_stay_int_poly(self):
+        p = IntPoly({(1, 0): 2, (0, 1): -1})
+        q = IntPoly.linear_form((3, 1))
+        for r in (p + q, p * q, p + IntPoly(), p * IntPoly.constant(1, 2), q + (-q)):
+            assert type(r) is IntPoly
+        assert p * q == IntPoly({(2, 0): 6, (1, 1): -1, (0, 2): -1})
+        assert (q + (-q)).is_zero()
+
+    def test_equals_the_laurent_poly_with_the_same_terms(self):
+        terms = {(1, 1): 3, (0, 0): -2}
+        assert IntPoly(terms) == LaurentPoly(terms)
+        assert LaurentPoly(terms) == IntPoly(terms)
+        assert hash(IntPoly(terms)) == hash(LaurentPoly(terms))
+        assert IntPoly(terms) != LaurentPoly({(1, 1): 3})
+
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    def test_a_float_coefficient_raises(self, c):
+        with pytest.raises(TypeError, match="coefficients are exact"):
+            IntPoly({(1,): c})
+
+    def test_chern_parts_evaluate_to_the_residue_values(self):
+        rng = random.Random(57)
+        fans = surface_fans() + [projective_fan(1)]
+        families = [line_bundle_data(fan, 3) for fan in fans]
+        families += [random_equivariant_data(fan, rng.choice([1, 2, 3]), rng) for fan in fans]
+        for data in families:
+            polys, _ = chern_pp(data)
+            for ci in data.fan.maximal_cone_indices():
+                for ray in data.fan.cones[ci].ray_indices:
+                    eigen = [-x for x in residue(data, ci, ray).entries]
+                    assert residue_chern_check(data, ci, ray).ok
+                    for p in polys:
+                        part = p.parts[ci]
+                        assert type(part) is IntPoly
+                        expected = sum(prod(sub) for sub in itertools.combinations(eigen, p.degree))
+                        assert part.evaluate(data.fan.rays[ray]) == expected

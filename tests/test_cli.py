@@ -106,6 +106,31 @@ class TestHappyPaths:
         assert json.loads(target.read_text(encoding="utf-8"))["command"] == "validate"
 
 
+class TestUnwritableReportPath:
+    """A report path that cannot be written is a usage error (2), not a failed check (1)."""
+
+    @pytest.mark.parametrize("model", ["p2_o2.json", "p2_corrupted.json"])
+    def test_missing_directory_exits_two(self, capsys, tmp_path, model):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, ["validate", str(MODELS / model), "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err == f"torlog: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_directory_as_out_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, ["chern", str(MODELS / "p2_o2.json"), "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"torlog: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+    def test_invalid_model_report_path_exits_two(self, capsys, tmp_path):
+        path = write_model(tmp_path, dict(p1_fan_block(), cones=[[], [0], [1], [0]]))
+        target = tmp_path / "missing" / "r.json"
+        assert run_cli(capsys, ["validate", path])[0] == 3
+        code, out, err = run_cli(capsys, ["validate", path, "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err == f"torlog: cannot write {target}: No such file or directory\n"
+
+
 class TestFailureDetection:
     def test_corrupted_cocycle_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", str(MODELS / "p2_corrupted.json")])

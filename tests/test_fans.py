@@ -20,6 +20,7 @@ from torlog.fans import (
     primitivize,
     product_p1_fan,
     projective_fan,
+    ray_inverse,
     smith_invariants,
     validate_fan,
 )
@@ -373,3 +374,79 @@ class TestChecksFromTheMaximalCones:
         monkeypatch.setattr(fans_mod, "smith_invariants", lambda rows: calls.append(None))
         assert all(c.ok for c in validate_fan(fan))
         assert calls == [fan.ray_matrix(fan.cones[i]) for i in fan.maximal_cone_indices()]
+
+
+def fraction_inverse(rows):
+    """Inverse by Gauss-Jordan over Fraction, the reference for ray_inverse; None if singular."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if work[i][col]), None)
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        work[col] = [a / work[col][col] for a in work[col]]
+        for i in range(n):
+            if i != col and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+class TestRayInverse:
+    """The one dense exact inverse: cofactors over the determinant, both from bareiss."""
+
+    def test_matches_fraction_gauss_jordan(self):
+        rng = random.Random(1968)
+        sizes, singular = set(), 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+            ref = fraction_inverse(rows)
+            if ref is None:
+                singular += 1
+                with pytest.raises(ValueError, match="^ray matrix is singular$"):
+                    ray_inverse(rows)
+                continue
+            sizes.add(n)
+            inv = ray_inverse(rows)
+            assert inv == tuple(map(tuple, ref)), rows
+            for x, r in zip(sum(inv, ()), sum(ref, [])):
+                assert type(x) is (int if r.denominator == 1 else Fraction), (rows, x)
+        assert sizes == {1, 2, 3, 4} and singular > 0
+
+    def test_unimodular_cones_give_ints(self):
+        fans = [projective_fan(1), projective_fan(2), product_p1_fan(),
+                hirzebruch_fan(1), hirzebruch_fan(2), projective_fan(3)]
+        for fan in fans:
+            for ci in fan.maximal_cone_indices():
+                rows = tuple(fan.ray_matrix(fan.cones[ci]))
+                inv = ray_inverse(rows)
+                assert all(type(x) is int for row in inv for x in row), rows
+                n = fan.dim
+                assert [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                        for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("rows, inverse", [
+        (((-7,),), ((Fraction(-1, 7),),)),
+        (((1, 0), (1, 2)), ((1, 0), (Fraction(-1, 2), Fraction(1, 2)))),
+        (((0, 1), (1, 0)), ((0, 1), (1, 0))),
+    ])
+    def test_small_cases(self, rows, inverse):
+        assert ray_inverse(rows) == inverse
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 0), (1, 0)),
+        ((2, 4), (1, 2)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0)),
+    ])
+    def test_singular_and_non_square_raise(self, rows):
+        with pytest.raises(ValueError, match="^ray matrix is singular$"):
+            ray_inverse(rows)
+
+    def test_repeated_call_returns_the_cached_object(self):
+        rows = ((1, 0, 0), (0, 1, 0), (-1, -1, -1))
+        equal_copy = tuple(tuple(list(r)) for r in rows)
+        assert ray_inverse(rows) is ray_inverse(equal_copy)
