@@ -61,9 +61,11 @@ from .laurent import (
     conjugations,
     delta_apply,
     delta_products,
+    in_chart,
     matrix_delta,
     matrix_det,
     matrix_inverse_unit,
+    vanishing,
 )
 from .splitting import (
     InconsistentSplittingError,

@@ -290,9 +290,6 @@ class IntPoly(LaurentPoly):
             total = total + term
         return total
 
-    def sorted_items(self):
-        return sorted(self.terms.items())
-
 
 def _int_poly(terms: dict) -> IntPoly:
     """Wrap a term map that is already canonical."""

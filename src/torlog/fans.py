@@ -8,9 +8,11 @@ to exact integer linear algebra on the ray generators.  Ranks and
 determinants come from one integer elimination, :func:`bareiss`, which
 never leaves the integers, nor does :func:`ray_inverse`, the cached exact
 inverse of a square ray matrix; the invariant factors of a cone that is not
-full-dimensional come from :func:`smith_invariants`.  :func:`validate_fan`
-proves the per-cone checks from the maximal cones when it can, one
-elimination each, and enumerates every cone only when that proof fails.
+full-dimensional come from :func:`smith_invariants`.  A fan eliminates each
+ray matrix once (:meth:`Fan.ray_elimination`) and reuses its rank and
+determinant.  :func:`validate_fan` proves the per-cone checks from the
+maximal cones when it can, one elimination each, and enumerates every cone
+only when that proof fails, taking both checks from the same eliminations.
 """
 
 from __future__ import annotations
@@ -54,6 +56,19 @@ def vec_add(a: IntVec, b: IntVec) -> IntVec:
     return tuple(map(add, a, b))
 
 
+# unrolled exponent sums by lattice dimension: no map object and no iterator per sum
+_ADDERS = {
+    1: lambda a, b: (a[0] + b[0],),
+    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+}
+
+
+def vec_adder(dim: int):
+    """A function adding two vectors of length dim: unrolled for dims 1-3, else :func:`vec_add`."""
+    return _ADDERS.get(dim, vec_add)
+
+
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
     return tuple(map(sub, a, b))
 
@@ -91,6 +106,7 @@ class Fan:
     declared_complete: bool = False
     _cone_lookup: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _maximal: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _eliminated: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         lookup = {c.ray_indices: i for i, c in enumerate(self.cones)}
@@ -99,6 +115,7 @@ class Fan:
         maximal = tuple(i for i, s in enumerate(sets)
                         if not any(s < other for other in sets))
         object.__setattr__(self, "_maximal", maximal)
+        object.__setattr__(self, "_eliminated", {})
 
     def cone_index(self, ray_indices) -> int:
         key = tuple(sorted(ray_indices))
@@ -120,6 +137,15 @@ class Fan:
 
     def ray_matrix(self, cone: Cone) -> list[IntVec]:
         return [self.rays[k] for k in cone.ray_indices]
+
+    def ray_elimination(self, cone: Cone) -> tuple[int, int]:
+        """Rank and determinant of the cone's ray matrix: one :func:`bareiss` per matrix and fan."""
+        rows = self.ray_matrix(cone)
+        key = tuple(rows)
+        done = self._eliminated.get(key)
+        if done is None:
+            done = self._eliminated[key] = bareiss(rows)
+        return done
 
 
 def build_fan(rays, cones, dim=None, declared_complete=False):
@@ -282,10 +308,9 @@ def cone_is_smooth(fan: Fan, cone: Cone) -> bool:
     """True when the ray generators extend to a basis of the lattice."""
     if not cone.ray_indices:
         return True
-    rows = fan.ray_matrix(cone)
-    if len(rows) == fan.dim:
-        return abs(bareiss(rows)[1]) == 1
-    return all(d == 1 for d in smith_invariants(rows))
+    if cone.dim == fan.dim:
+        return abs(fan.ray_elimination(cone)[1]) == 1
+    return all(d == 1 for d in smith_invariants(fan.ray_matrix(cone)))
 
 
 @dataclass
@@ -307,7 +332,7 @@ def _maximal_cones_unimodular(fan: Fan) -> bool:
     the simplicial and smooth checks: it lies in a maximal cone, and part of
     a lattice basis is linearly independent and extends to a basis.
     """
-    return all(abs(bareiss(fan.ray_matrix(fan.cones[i]))[1]) == 1 for i in fan._maximal)
+    return all(abs(fan.ray_elimination(fan.cones[i])[1]) == 1 for i in fan._maximal)
 
 
 def _maximal_faces_listed(fan: Fan) -> bool:
@@ -356,10 +381,8 @@ def validate_fan(fan: Fan) -> list[FanCheck]:
 
     nonsimp = []
     if not unimodular:
-        for i, c in enumerate(fan.cones):
-            rows = fan.ray_matrix(c)
-            if rows and bareiss(rows)[0] != len(rows):
-                nonsimp.append(i)
+        nonsimp = [i for i, c in enumerate(fan.cones)
+                   if c.ray_indices and fan.ray_elimination(c)[0] != c.dim]
     checks.append(
         FanCheck("simplicial", "fail" if nonsimp else "pass",
                  f"linearly dependent generators in cones {nonsimp}" if nonsimp else "")

@@ -12,22 +12,31 @@ The module also carries the logarithmic derivations delta_v (chi^m maps to
 square-matrix calculus over the Laurent ring, including inversion of
 matrices whose determinant is a unit (a single monomial term).
 
-Matrix products are fused, row-sparse passes that build each entry as one
-term map and make its coefficients canonical once:
-:meth:`LaurentMatrix.mul_add` returns A * B + Z without a separate sum (``*``
-is the same method without Z), :func:`conjugations` returns C * X_b * D + Z_b
-for a whole batch of X_b, with C and D made row-sparse once and the middle
-product kept as raw term maps, and :func:`delta_products` returns
-delta_{e_b}(C) * D, or C * delta_{e_b}(D), for every basis vector e_b at once.
-Determinants expand over raw term maps too.
+Matrix products are fused, row-sparse passes that accumulate each entry as
+one raw term map.  One pass serves a batch: C and D are made row-sparse once,
+each row of C * X_b (* D) is accumulated into term maps seeded with the terms
+of Z_b and minus those of W_b, and the middle product stays raw.  The pass
+has two tails:
+
+* the build tail makes every coefficient canonical once and wraps the
+  result: :meth:`LaurentMatrix.mul_add` returns A * B + Z (``*`` is the same
+  method without Z) and :func:`conjugations` returns C * X_b * D + Z_b;
+* the zero-test tail, :func:`vanishing`, returns one bool per X_b, whether
+  C * X_b * D + Z_b - W_b (or C * X_b + Z_b - W_b) is zero.  It builds no
+  polynomial and stops an element at its first row with a nonzero
+  coefficient.  Exact identities are checked this way.
+
+:func:`delta_products` returns delta_{e_b}(C) * D, or C * delta_{e_b}(D), for
+every basis vector e_b at once.  Determinants expand over raw term maps too.
+Each kernel call sums exponents with one adder picked from the length of its
+first exponent (``fans.vec_adder``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
-from .fans import Cone, DimensionError, Fan, IntVec, pairing, vec_add
+from .fans import Cone, DimensionError, Fan, IntVec, pairing, vec_add, vec_adder
 
 Coeff = int | Fraction
 
@@ -55,20 +64,37 @@ def exact(c) -> Coeff:
 
 
 def _canonical(acc: dict) -> dict:
-    """Drop the zeros of a term map and put every coefficient in canonical form."""
-    return {e: c if type(c) is int else exact(c) for e, c in acc.items() if c}
+    """Drop the zeros of a term map and put every coefficient in canonical form.
+
+    A map whose coefficients are all nonzero ints is already canonical and
+    is returned itself.
+    """
+    for c in acc.values():
+        if not c or type(c) is not int:
+            return {e: c if type(c) is int else exact(c) for e, c in acc.items() if c}
+    return acc
 
 
-def _accumulate(acc: dict, a: dict, b: dict) -> None:
+def _adder(M: "LaurentMatrix"):
+    """The exponent adder of a kernel call, from the length of M's first exponent."""
+    for row in M.entries:
+        for f in row:
+            for e in f.terms:
+                return vec_adder(len(e))
+    return vec_add
+
+
+def _accumulate(acc: dict, a: dict, b: dict, vadd) -> None:
     """Add the product of the term maps a and b into acc: out[e1 + e2] += c1 * c2.
 
-    This is the one product kernel.  It leaves zeros and non-canonical
-    coefficients in acc; the caller runs :func:`_canonical` once at the end.
+    This is the one product kernel; ``vadd`` sums two exponents.  It leaves
+    zeros and non-canonical coefficients in acc; the caller runs
+    :func:`_canonical` once at the end, or tests acc for zero.
     """
     get = acc.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = vadd(e1, e2)
             acc[e] = get(e, 0) + c1 * c2
 
 
@@ -133,7 +159,9 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc = {}
-        _accumulate(acc, self.terms, other.terms)
+        if self.terms:
+            vadd = vec_adder(len(next(iter(self.terms))))
+            _accumulate(acc, self.terms, other.terms, vadd)
         return _poly(_canonical(acc))
 
     def scale(self, c) -> "LaurentPoly":
@@ -172,7 +200,7 @@ def _sparse_rows(M: "LaurentMatrix") -> list:
     return [[(q, f.terms) for q, f in enumerate(row) if f.terms] for row in M.entries]
 
 
-def _row_product(accs: dict, row: list, right: list) -> dict:
+def _row_product(accs: dict, row: list, right: list, vadd=vec_add) -> dict:
     """Add one row-sparse left row times a row-sparse right factor into accs.
 
     ``accs`` maps a column q to the term map of entry q; entry k of the row
@@ -183,13 +211,95 @@ def _row_product(accs: dict, row: list, right: list) -> dict:
             acc = accs.get(q)
             if acc is None:
                 acc = accs[q] = {}
-            _accumulate(acc, a, b)
+            _accumulate(acc, a, b, vadd)
     return accs
 
 
-def _seeds(M: "LaurentMatrix") -> list:
-    """Fresh accumulators holding the terms of M, one map of columns per row."""
-    return [{q: dict(f.terms) for q, f in enumerate(row) if f.terms} for row in M.entries]
+def _seeds(size: int, signed) -> list:
+    """Fresh accumulators holding sign * M summed over the pairs (M, sign) in signed.
+
+    One map of columns per row; sign is 1 or -1.
+    """
+    seeds = [{} for _ in range(size)]
+    for M, sign in signed:
+        for accs, row in zip(seeds, M.entries):
+            for q, f in enumerate(row):
+                terms = f.terms
+                if not terms:
+                    continue
+                acc = accs.get(q)
+                if acc is None:
+                    accs[q] = dict(terms) if sign == 1 else {e: -c for e, c in terms.items()}
+                    continue
+                get = acc.get
+                for e, c in terms.items():
+                    acc[e] = get(e, 0) + sign * c
+    return seeds
+
+
+def _product_row(accs: dict, row: list, middle: list, right, vadd) -> dict:
+    """One row of L * M (* R) added into accs, its seeded accumulators; returns accs.
+
+    ``row`` is the row-sparse row of L, ``middle`` and ``right`` the
+    row-sparse M and R (None for a plain product).  The row of L * M stays
+    raw; its cancelled zeros are dropped before it meets R.
+    """
+    if right is None:
+        return _row_product(accs, row, middle, vadd)
+    mid = _row_product({}, row, middle, vadd)
+    mid = [(k, acc if 0 not in acc.values() else {e: c for e, c in acc.items() if c})
+           for k, acc in mid.items()]
+    return _row_product(accs, mid, right, vadd)
+
+
+def _batch(C: "LaurentMatrix", Xs, D, signed, tail) -> tuple:
+    """The one row-sparse pass over a batch: the tail of each C * X_b (* D) + S_b.
+
+    ``signed`` lists pairs (batch, sign), each batch aligned with Xs and
+    sign 1 or -1; S_b sums sign * M_b over them and seeds the accumulators.
+    C and D are made row-sparse once.  ``tail(left, middle, right, seeds,
+    vadd)`` turns one element into its result, computing its rows with
+    :func:`_product_row` as it needs them.  A batch of another length raises
+    ValueError, a matrix of another size DimensionError.
+    """
+    Xs = tuple(Xs)
+    n, size = len(Xs), C.size
+    for Ms, sign in signed:
+        if len(Ms) != n:
+            raise ValueError(f"{n} matrices but {len(Ms)} "
+                             f"{'addends' if sign == 1 else 'subtrahends'}")
+    if D is not None:
+        C._check_size(D)
+    for M in Xs:
+        if M.size != size:
+            C._check_size(M)
+    for Ms, _ in signed:
+        for M in Ms:
+            if M.size != size:
+                C._check_size(M)
+    left = _sparse_rows(C)
+    right = None if D is None else _sparse_rows(D)
+    vadd = _adder(C)
+    return tuple([tail(left, _sparse_rows(X), right,
+                       _seeds(size, [(Ms[b], sign) for Ms, sign in signed]), vadd)
+                  for b, X in enumerate(Xs)])
+
+
+def _built(left, middle, right, seeds, vadd) -> "LaurentMatrix":
+    """The build tail: each entry's term map made canonical once."""
+    size = len(seeds)
+    return LaurentMatrix._square(tuple([
+        _entries(_product_row(accs, row, middle, right, vadd), size)
+        for row, accs in zip(left, seeds)]))
+
+
+def _vanishes(left, middle, right, seeds, vadd) -> bool:
+    """The zero-test tail: is every coefficient zero?  Stops at the first row with one that is not."""
+    for row, accs in zip(left, seeds):
+        for acc in _product_row(accs, row, middle, right, vadd).values():
+            if any(acc.values()):
+                return False
+    return True
 
 
 def _entries(accs: dict, size: int) -> tuple:
@@ -202,18 +312,22 @@ def _entries(accs: dict, size: int) -> tuple:
     return tuple(out)
 
 
-def chart_member(F: LaurentPoly, sigma: Cone, fan: Fan) -> bool:
-    """Does F lie in the chart ring of sigma?
+def in_chart(exponent: IntVec, rays) -> bool:
+    """Does chi^exponent lie in the chart ring of the cone with these ray generators?
 
-    True iff every exponent of F pairs nonnegatively with each ray generator
-    of sigma.  The zero cone accepts everything.
+    True iff the exponent pairs nonnegatively with every ray; no rays (the
+    zero cone) accept everything.  This is the one chart-membership test.
     """
-    rays = [fan.rays[k] for k in sigma.ray_indices]
-    for exp in F.terms:
-        for v in rays:
-            if pairing(exp, v) < 0:
-                return False
+    for v in rays:
+        if pairing(exponent, v) < 0:
+            return False
     return True
+
+
+def chart_member(F: LaurentPoly, sigma: Cone, fan: Fan) -> bool:
+    """Does F lie in the chart ring of sigma?  True iff every exponent of F does."""
+    rays = fan.ray_matrix(sigma)
+    return all(in_chart(exp, rays) for exp in F.terms)
 
 
 def delta_apply(v: IntVec, F: LaurentPoly) -> LaurentPoly:
@@ -341,18 +455,8 @@ class LaurentMatrix:
         of addend[p][q] and built by the product kernel.  Zero entries share
         one empty polynomial.  ``*`` is this method without an addend.
         """
-        self._check_size(other)
-        if addend is None:
-            seeds = None
-        else:
-            self._check_size(addend)
-            seeds = _seeds(addend)
-        right = _sparse_rows(other)
-        rows = []
-        for p, row in enumerate(_sparse_rows(self)):
-            accs = _row_product({} if seeds is None else seeds[p], row, right)
-            rows.append(_entries(accs, self.size))
-        return LaurentMatrix._square(tuple(rows))
+        return _batch(self, (other,), None, () if addend is None else (((addend,), 1),),
+                      _built)[0]
 
     __mul__ = mul_add
 
@@ -390,38 +494,30 @@ def conjugations(C: LaurentMatrix, Xs, D: LaurentMatrix, addends=None
                  ) -> tuple[LaurentMatrix, ...]:
     """The tuple of C * X_b * D + Z_b over a batch, Z_b from ``addends`` (or zero).
 
-    C and D are made row-sparse once for the whole batch.  Each row of the
-    middle product C * X_b stays a raw term map per entry; its cancelled
-    zeros are dropped before it meets D, and each result entry, seeded with
-    the terms of Z_b, is made canonical once.  A batch and addends of
-    different lengths raise ValueError, matrices of different sizes
-    DimensionError.
+    The build tail of the one pass (module docstring): C and D are made
+    row-sparse once for the whole batch, the middle product C * X_b stays
+    raw, and each result entry, seeded with the terms of Z_b, is made
+    canonical once.  A batch and addends of different lengths raise
+    ValueError, matrices of different sizes DimensionError.
     """
-    Xs = tuple(Xs)
-    if addends is None:
-        addends = (None,) * len(Xs)
-    else:
-        addends = tuple(addends)
-        if len(addends) != len(Xs):
-            raise ValueError(f"{len(Xs)} matrices but {len(addends)} addends")
-    C._check_size(D)
-    for M in Xs + addends:
-        if M is not None:
-            C._check_size(M)
-    left, right = _sparse_rows(C), _sparse_rows(D)
-    out = []
-    for X, Z in zip(Xs, addends):
-        middle = _sparse_rows(X)
-        seeds = [{} for _ in left] if Z is None else _seeds(Z)
-        rows = []
-        for row, accs in zip(left, seeds):
-            mid = _row_product({}, row, middle)
-            # drop the middle product's cancelled zeros before the second product
-            mid = [(k, acc if 0 not in acc.values() else {e: c for e, c in acc.items() if c})
-                   for k, acc in mid.items()]
-            rows.append(_entries(_row_product(accs, mid, right), C.size))
-        out.append(LaurentMatrix._square(tuple(rows)))
-    return tuple(out)
+    return _batch(C, Xs, D, () if addends is None else ((tuple(addends), 1),), _built)
+
+
+def vanishing(C: LaurentMatrix, Xs, D: LaurentMatrix | None = None, plus=(), minus=()
+              ) -> tuple[bool, ...]:
+    """Whether C * X_b * D + Z_b - W_b is zero, for each X_b of a batch.
+
+    Without D the test is on C * X_b + Z_b - W_b.  ``plus`` and ``minus``
+    are lists of batches aligned with Xs: Z_b is the sum of the b-th
+    matrices of the batches in plus, W_b of those in minus, so
+    ``vanishing(C, Xs, D, [Zs], [Ws])[b]`` is
+    ``conjugations(C, Xs, D, Zs)[b] == Ws[b]``.  This is the zero-test tail
+    of the pass behind :func:`conjugations` (module docstring): no
+    coefficient is made canonical and no polynomial is built.  Lengths and
+    sizes are checked as there.
+    """
+    return _batch(C, Xs, D, [(tuple(Zs), 1) for Zs in plus] + [(tuple(Ws), -1) for Ws in minus],
+                  _vanishes)
 
 
 def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
@@ -430,7 +526,7 @@ def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
         tuple(tuple(delta_apply(v, a) for a in row) for row in C.entries))
 
 
-def _accumulate_delta(accs: list, weighted: list, plain: dict) -> None:
+def _accumulate_delta(accs: list, weighted: list, plain: dict, vadd) -> None:
     """The product kernel for delta_products: accs[b][e1 + e2] += c1 * w_b * c2.
 
     ``weighted`` lists each term (e1, c1) of one factor as (e1, [(b, c1 * w_b)])
@@ -440,7 +536,7 @@ def _accumulate_delta(accs: list, weighted: list, plain: dict) -> None:
     """
     for e1, parts in weighted:
         for e2, c2 in plain.items():
-            e = tuple(map(add, e1, e2))
+            e = vadd(e1, e2)
             for b, c1 in parts:
                 acc = accs[b]
                 acc[e] = acc.get(e, 0) + c1 * c2
@@ -460,6 +556,7 @@ def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
     """
     C._check_size(D)
     basis = range(dim)
+    vadd = _adder(C)
 
     def weighted(f: LaurentPoly) -> list:
         out = []
@@ -471,7 +568,7 @@ def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
 
     if left:
         lhs = [[weighted(a) for a in row] for row in C.entries]
-        rhs = [[(q, f.terms) for q, f in enumerate(row) if f.terms] for row in D.entries]
+        rhs = _sparse_rows(D)
     else:
         lhs = [[a.terms for a in row] for row in C.entries]
         rhs = [[(q, w) for q, f in enumerate(row) if (w := weighted(f))] for row in D.entries]
@@ -486,20 +583,21 @@ def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
                 if acc is None:
                     acc = accs[q] = [{} for _ in basis]
                 if left:
-                    _accumulate_delta(acc, a, other)
+                    _accumulate_delta(acc, a, other, vadd)
                 else:
-                    _accumulate_delta(acc, other, a)
+                    _accumulate_delta(acc, other, a, vadd)
         for b in basis:
             rows[b].append(_entries({q: acc[b] for q, acc in accs.items()}, C.size))
     return tuple(LaurentMatrix._square(tuple(r)) for r in rows)
 
 
-def _det_terms(rows: list) -> dict:
+def _det_terms(rows: list, vadd) -> dict:
     """The determinant of a square array of term maps, as a raw term map.
 
     Cofactor expansion along the first row, skipping zero entries; the
     result may hold zeros and non-canonical coefficients, so the caller
-    runs :func:`_canonical` once.  Matrices here are tiny.
+    runs :func:`_canonical` once; ``vadd`` sums two exponents.  Matrices
+    here are tiny.
     """
     if len(rows) == 1:
         return rows[0][0]
@@ -509,7 +607,7 @@ def _det_terms(rows: list) -> dict:
             continue
         if j % 2:
             a = {e: -c for e, c in a.items()}
-        _accumulate(acc, a, _det_terms([row[:j] + row[j + 1:] for row in rows[1:]]))
+        _accumulate(acc, a, _det_terms([row[:j] + row[j + 1:] for row in rows[1:]], vadd), vadd)
     return acc
 
 
@@ -518,17 +616,18 @@ def _term_rows(C: LaurentMatrix) -> list:
 
 
 def matrix_det(C: LaurentMatrix) -> LaurentPoly:
-    return _poly(_canonical(_det_terms(_term_rows(C))))
+    return _poly(_canonical(_det_terms(_term_rows(C), _adder(C))))
 
 
-def _scaled(terms: dict, shift: IntVec, c: Coeff) -> dict:
+def _scaled(terms: dict, shift: IntVec, c: Coeff, vadd) -> dict:
     """The canonical term map of c * chi^shift times a raw term map.
 
     Each exponent moves by ``shift`` (skipped when it is zero) and each
     coefficient is multiplied by c (skipped when c is 1); zeros are dropped.
+    With neither, a canonical map is returned itself.
     """
     if any(shift):
-        terms = {tuple(map(add, e, shift)): v for e, v in terms.items()}
+        terms = {vadd(e, shift): v for e, v in terms.items()}
     if c != 1:
         terms = {e: v * c for e, v in terms.items()}
     return _canonical(terms)
@@ -544,7 +643,8 @@ def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
     The result satisfies C * C^-1 == identity exactly.
     """
     rows = _term_rows(C)
-    det = _canonical(_det_terms(rows))
+    vadd = _adder(C)
+    det = _canonical(_det_terms(rows, vadd))
     if not det:
         raise SingularMatrixError("matrix determinant is zero")
     if len(det) != 1:
@@ -562,11 +662,12 @@ def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
         entries = []
         for j in range(r):
             minor = [row[:i] + row[i + 1:] for p, row in enumerate(rows) if p != j]
-            terms = _scaled(_det_terms(minor), inv_exp, signed[(i + j) % 2])
+            terms = _scaled(_det_terms(minor, vadd), inv_exp, signed[(i + j) % 2], vadd)
             entries.append(_poly(terms) if terms else _ZERO)
         out.append(tuple(entries))
     return LaurentMatrix._square(tuple(out))
 
 
 def matrix_chart_member(C: LaurentMatrix, sigma: Cone, fan: Fan) -> bool:
-    return all(chart_member(a, sigma, fan) for row in C.entries for a in row)
+    rays = fan.ray_matrix(sigma)
+    return all(in_chart(exp, rays) for row in C.entries for a in row for exp in a.terms)

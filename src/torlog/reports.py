@@ -57,8 +57,8 @@ def matrix_payload(M: LaurentMatrix) -> list[list[list[dict]]]:
 
 
 def int_poly_payload(p) -> list[dict]:
-    # integer piecewise-polynomial parts reuse the term shape with den = 1
-    return [{"exponent": list(e), "num": c, "den": 1} for e, c in p.sorted_items()]
+    """A piecewise-polynomial part, written by :func:`poly_payload` (den 1 on an int)."""
+    return poly_payload(p)
 
 
 def cochain_payload(cochain) -> dict:

@@ -26,8 +26,9 @@ a time, so easy instances stay tiny.  A closure that grows past
 _MAX_WEIGHTS weights stops there; ``SplitResult.truncated`` records that the
 limit, not the cap or saturation, ended the search, and the miss reports
 say so.  A returned splitting is always re-verified against the defining
-equation with independent matrix arithmetic; "not found" only means:
-nothing in the searched graded space.
+equation, independently of the solve: one exact zero test of
+C_st g_t C_ts - g_s - A_st per ordered pair (``laurent.vanishing``); "not
+found" only means: nothing in the searched graded space.
 
 :func:`equivariance_verdict` validates the transitions first and has one
 certificate, that re-verification plus chart-ring membership of each
@@ -73,16 +74,17 @@ from .cocycles import (
     triple_passes,
     validate_transitions,
 )
-from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_neg
+from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_adder, vec_neg
 from .laurent import (
     Coeff,
     LaurentMatrix,
     LaurentPoly,
-    chart_member,
     conjugations,
     delta_products,
     exact,
+    in_chart,
     matrix_chart_member,
+    vanishing,
 )
 
 DEFAULT_WEIGHT_CAP = 3
@@ -265,11 +267,12 @@ def _solve_graded(cocycle, data, weights):
     """
     fan = data.fan
     n = fan.dim
+    vadd = vec_adder(n)
     r = data.rank
     maximal = data.maximal()
     root = maximal[-1]
-    root_weights = [w for w in weights
-                    if chart_member(LaurentPoly.monomial(w), fan.cones[root], fan)]
+    root_rays = fan.ray_matrix(fan.cones[root])
+    root_weights = [w for w in weights if in_chart(w, root_rays)]
 
     var_of = {}
     for i in range(r):
@@ -289,13 +292,13 @@ def _solve_graded(cocycle, data, weights):
     for t in maximal[:-1]:
         C = data.pair(t, root)
         D = data.pair(root, t)
-        rays = [fan.rays[k] for k in fan.cones[t].ray_indices]
+        rays = fan.ray_matrix(fan.cones[t])
         outside: dict[IntVec, bool] = {}
 
         def off_chart(m):
             off = outside.get(m)
             if off is None:
-                off = outside[m] = any(pairing(m, v) < 0 for v in rays)
+                off = outside[m] = not in_chart(m, rays)
             return off
 
         # g_{s0} conjugated into chart t; only exponents outside chart(t) give rows
@@ -312,7 +315,7 @@ def _solve_graded(cocycle, data, weights):
                         for w in root_weights:
                             var = var_of[(k, l, w)]
                             for mc, c in prod.terms.items():
-                                m = vec_add(mc, w)
+                                m = vadd(mc, w)
                                 if not off_chart(m):
                                     continue
                                 row = row_at((t, p, q, m))
@@ -402,13 +405,15 @@ def _full_length(cochain: MatrixCochain, n: int) -> bool:
 
 
 def verify_splitting(cochain: MatrixCochain, cocycle: MatrixCocycle, data: TransitionData) -> bool:
-    """Independent check of the defining equation on every ordered overlap."""
+    """Independent check of the defining equation on every ordered overlap.
+
+    One batch of zero tests of C_st g_t C_ts - g_s - A_st per pair.
+    """
     if not _full_length(cochain, data.fan.dim):
         return False
-    negated = {ci: [-g for g in mats] for ci, mats in cochain.cones.items()}
     for (s, t), mats in sorted(cocycle.pairs.items()):
-        got = conjugations(data.pair(s, t), cochain.cones[t], data.pair(t, s), negated[s])
-        if got != tuple(mats):
+        if not all(vanishing(data.pair(s, t), cochain.cones[t], data.pair(t, s),
+                             minus=[cochain.cones[s], mats])):
             return False
     return True
 
@@ -466,7 +471,7 @@ def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):
 
     which is checked exactly on every ordered pair and basis vector, the
     derivative terms C_ts * delta(C_st) for all basis vectors in one pass and
-    the conjugations with them as addends in one batch.  A cone without one
+    the zero tests with them as addends in one batch.  A cone without one
     form per basis vector, or a violation, raises InconsistentSplittingError.
     """
     n = data.fan.dim
@@ -479,7 +484,8 @@ def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):
         Cst = data.pair(s, t)
         Cts = data.pair(t, s)
         dC = delta_products(Cts, Cst, n, left=False)
-        if conjugations(Cts, splitting.cones[s], Cst, dC) != tuple(splitting.cones[t]):
+        if not all(vanishing(Cts, splitting.cones[s], Cst, plus=[dC],
+                             minus=[splitting.cones[t]])):
             raise InconsistentSplittingError(
                 f"gauge law fails across pair ({s},{t}); the cochain is not a splitting"
             )

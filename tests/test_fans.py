@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,8 @@ from torlog.fans import (
     ray_inverse,
     smith_invariants,
     validate_fan,
+    vec_add,
+    vec_adder,
 )
 
 
@@ -374,6 +377,54 @@ class TestChecksFromTheMaximalCones:
         monkeypatch.setattr(fans_mod, "smith_invariants", lambda rows: calls.append(None))
         assert all(c.ok for c in validate_fan(fan))
         assert calls == [fan.ray_matrix(fan.cones[i]) for i in fan.maximal_cone_indices()]
+
+
+class TestOneEliminationPerRayMatrix:
+    """validate_fan takes rank and determinant from one bareiss per ray matrix, proof or not."""
+
+    def eliminations(self, monkeypatch, forced: bool):
+        """(checks, eliminated ray matrices) per fixture, the proofs forced to fail if asked."""
+        real = fans_mod.bareiss
+        out = []
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(fans_mod, "_maximal_cones_unimodular", lambda fan: False)
+                m.setattr(fans_mod, "_maximal_faces_listed", lambda fan: False)
+            for fan in fan_fixtures():
+                calls = []
+                m.setattr(fans_mod, "bareiss", lambda rows: calls.append(tuple(rows)) or real(rows))
+                out.append((as_tuples(validate_fan(fan)), calls))
+        return out
+
+    def test_no_ray_matrix_is_eliminated_twice(self, monkeypatch):
+        proved = self.eliminations(monkeypatch, forced=False)
+        enumerated = self.eliminations(monkeypatch, forced=True)
+        for checks, calls in proved + enumerated:
+            assert len(calls) == len(set(calls))
+        assert [checks for checks, _ in proved] == [checks for checks, _ in enumerated]
+        assert [checks for checks, _ in proved] == [as_tuples(validate_fan(fan))
+                                                     for fan in fan_fixtures()]
+
+    def test_the_non_smooth_fixture(self, monkeypatch):
+        calls = []
+        real = fans_mod.bareiss
+        monkeypatch.setattr(fans_mod, "bareiss", lambda rows: calls.append(rows) or real(rows))
+        fan = build_fan([(1, 0), (1, 2)], [(), (0,), (1,), (0, 1)])[0]
+        by = checks_by_name(validate_fan(fan))
+        assert by["simplicial"].ok and by["smooth"].detail == "non-smooth cones [3]"
+        assert calls == [[(1, 0), (1, 2)], [(1, 0)], [(1, 2)]]
+        assert validate_fan(fan) and len(calls) == 3  # a fan keeps its eliminations
+
+
+class TestVecAdder:
+    def test_matches_map_add(self):
+        rng = random.Random(1219)
+        for dim in (1, 2, 3, 4):
+            adder = vec_adder(dim)
+            assert (adder is vec_add) == (dim == 4)
+            for _ in range(50):
+                a, b = (tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(2))
+                assert adder(a, b) == tuple(map(add, a, b))
 
 
 def fraction_inverse(rows):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torlog import laurent
+from torlog.cocycles import atiyah_cocycle
+from torlog.corpus import dressed_transitions, random_dressing, random_equivariant_data
 from torlog.fans import Cone, DimensionError, build_fan, projective_fan
 from torlog.laurent import (
     LaurentMatrix,
@@ -19,10 +22,12 @@ from torlog.laurent import (
     conjugations,
     delta_apply,
     delta_products,
+    in_chart,
     matrix_chart_member,
     matrix_delta,
     matrix_det,
     matrix_inverse_unit,
+    vanishing,
 )
 
 X = LaurentPoly.monomial
@@ -603,3 +608,192 @@ class TestShiftColumns:
     def test_one_shift_per_column(self):
         with pytest.raises(DimensionError):
             LaurentMatrix.identity(2, 2).shift_columns([(0, 0)])
+
+
+def perturbed(M: LaurentMatrix, dim: int, rng) -> LaurentMatrix:
+    """M with one coefficient of one entry changed (a new term if the entry is zero)."""
+    r = M.size
+    p, q = rng.randrange(r), rng.randrange(r)
+    terms = dict(M.entries[p][q].terms)
+    e = rng.choice(sorted(terms)) if terms else (0,) * dim
+    terms[e] = terms.get(e, 0) + rng.choice([1, -1, Fraction(1, 3)])
+    rows = [list(row) for row in M.entries]
+    rows[p][q] = LaurentPoly(terms)
+    return LaurentMatrix(rows)
+
+
+class TestVanishing:
+    """The zero-test tail against building the result and comparing it."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_parity_with_conjugations_and_mul_add(self):
+        rng = random.Random(1212)
+        outcomes = set()
+        for _ in range(150):
+            dim, r, k = rng.choice([1, 2, 3]), rng.choice([1, 2, 3]), rng.randint(1, 4)
+            C, D = (draw_matrix(rng, r, dim, self.COEFFS) for _ in range(2))
+            Xs, Zs = ([draw_matrix(rng, r, dim, self.COEFFS) for _ in range(k)] for _ in range(2))
+            built = conjugations(C, Xs, D, Zs)
+            # about half the targets are the result itself, the rest a random draw
+            Ws = [M if rng.random() < 0.5 else draw_matrix(rng, r, dim, self.COEFFS)
+                  for M in built]
+            got = vanishing(C, Xs, D, [Zs], [Ws])
+            assert got == tuple(M == W for M, W in zip(built, Ws))
+            assert vanishing(C, Xs, D, minus=[Ws]) == tuple(
+                M == W for M, W in zip(conjugations(C, Xs, D), Ws))
+            products = [C.mul_add(X, Z) for X, Z in zip(Xs, Zs)]
+            assert vanishing(C, Xs, plus=[Zs], minus=[Ws]) == tuple(
+                M == W for M, W in zip(products, Ws))
+            assert vanishing(C, Xs, plus=[Zs], minus=[products]) == (True,) * k
+            outcomes.update(got)
+        assert outcomes == {True, False}
+
+    def test_parity_on_transitions_and_cocycles(self):
+        rng = random.Random(1213)
+        for n in (1, 2, 3):
+            fan = projective_fan(n)
+            for rank in (1, 2, 3):
+                td = dressed_transitions(random_equivariant_data(fan, rank, rng),
+                                         random_dressing(fan, rank, rng, factors=1))
+                A = atiyah_cocycle(td)
+                one = LaurentMatrix.identity(rank, n)
+                for (s, t), mats in sorted(A.pairs.items()):
+                    C, D = td.pair(s, t), td.pair(t, s)
+                    assert vanishing(C, [D], minus=[[one]]) == (True,)
+                    assert vanishing(D, mats, C, plus=[A.pairs[(t, s)]]) == (True,) * n
+                    Ws = [perturbed(M, n, rng) if rng.random() < 0.5 else M for M in mats]
+                    assert vanishing(C, mats, D, minus=[Ws]) == tuple(
+                        M == W for M, W in zip(conjugations(C, mats, D), Ws))
+
+    def test_one_coefficient_flips_exactly_its_element(self):
+        rng = random.Random(1214)
+        for _ in range(60):
+            dim, r, k = rng.choice([1, 2, 3]), rng.choice([1, 2, 3]), rng.randint(1, 4)
+            C, D = (draw_matrix(rng, r, dim, self.COEFFS, zero_rate=0.2) for _ in range(2))
+            Xs, Zs = ([draw_matrix(rng, r, dim, self.COEFFS) for _ in range(k)] for _ in range(2))
+            Ws = list(conjugations(C, Xs, D, Zs))
+            assert vanishing(C, Xs, D, [Zs], [Ws]) == (True,) * k
+            b = rng.randrange(k)
+            Ws[b] = perturbed(Ws[b], dim, rng)
+            assert vanishing(C, Xs, D, [Zs], [Ws]) == tuple(i != b for i in range(k))
+
+    def test_several_batches_add_and_subtract(self):
+        rng = random.Random(1215)
+        for _ in range(40):
+            r, k = rng.choice([1, 2, 3]), rng.randint(1, 3)
+            C, D = (draw_matrix(rng, r, 2, self.COEFFS) for _ in range(2))
+            Xs, Z1, Z2, W1 = ([draw_matrix(rng, r, 2, self.COEFFS) for _ in range(k)]
+                              for _ in range(4))
+            W2 = [M - W for M, W in zip(conjugations(C, Xs, D, [a + b for a, b in zip(Z1, Z2)]),
+                                         W1)]
+            assert vanishing(C, Xs, D, [Z1, Z2], [W1, W2]) == (True,) * k
+            assert vanishing(C, Xs, D, [Z1], [W1, W2]) == tuple(Z.is_zero() for Z in Z2)
+
+    def test_fraction_coefficients_that_sum_to_an_int(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        C = LaurentMatrix([[X((1,), half), X((0,), half)], [LaurentPoly(), X((0,), 3)]])
+        M = LaurentMatrix([[X((-1,), 1), LaurentPoly()], [X((0,), 1), X((2,), third)]])
+        one = LaurentMatrix.identity(2, 1)
+        target = C * M
+        assert target.entries[0][0] == X((0,), 1) and type(target.entries[0][0].coeff((0,))) is int
+        assert vanishing(C, [M], minus=[[target]]) == (True,)
+        assert vanishing(C, [M], one, plus=[[-target]]) == (True,)
+        assert vanishing(C, [M], minus=[[target.scale(Fraction(2, 2) + third)]]) == (False,)
+
+    def test_empty_batch(self):
+        I = LaurentMatrix.identity(2, 2)
+        assert vanishing(I, [], I) == ()
+        assert vanishing(I, (), I, [()], [[]]) == ()
+        assert vanishing(I, []) == ()
+
+    def test_mismatches_raise_as_conjugations_does(self):
+        two, three = LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2)
+        for plus, minus in [([[two]], ()), ((), [[two]]), ([[two, two]], [[two]]), ([[]], ())]:
+            with pytest.raises(ValueError):
+                vanishing(two, [two, two], two, plus, minus)
+        with pytest.raises(ValueError):
+            vanishing(two, [], two, minus=[[two]])
+        for C, Xs, D, Zs, Ws in [(two, [two], three, [two], [two]),
+                                 (two, [three], two, [two], [two]),
+                                 (three, [two], two, [three], [three]),
+                                 (two, [two, two], two, [two, three], [two, two]),
+                                 (two, [two, two], two, [two, two], [two, three]),
+                                 (two, [three], None, [two], [two])]:
+            with pytest.raises(DimensionError):
+                vanishing(C, Xs, D, [Zs], [Ws])
+            if D is not None and all(W.size == C.size for W in Ws):
+                with pytest.raises(DimensionError):
+                    conjugations(C, Xs, D, Zs)
+
+    def test_stops_an_element_at_its_first_nonzero_row(self, monkeypatch):
+        rng = random.Random(1216)
+        C, M, D = (draw_matrix(rng, 3, 2, self.COEFFS, zero_rate=0) for _ in range(3))
+        good = conjugations(C, [M], D)[0]
+        rows = [list(row) for row in good.entries]
+        rows[0][0] = rows[0][0] + X((5, 5))
+        calls = []
+        real = laurent._product_row
+        monkeypatch.setattr(laurent, "_product_row", lambda *a: calls.append(1) or real(*a))
+        assert vanishing(C, [M, M], D, minus=[[LaurentMatrix(rows), good]]) == (False, True)
+        assert len(calls) == 1 + 3  # one row of the first element, every row of the second
+
+
+class TestPerTermCosts:
+    """The canonical-form fast path and the exponent adder of the kernels."""
+
+    def test_canonical_fast_path(self):
+        ints = {(0, 1): 2, (1, 0): -3}
+        assert laurent._canonical(ints) is ints
+        mixed = {(0,): 0, (1,): Fraction(8, 2), (2,): Fraction(1, 2), (3,): 5, (4,): Fraction(0)}
+        out = laurent._canonical(mixed)
+        assert out == {(1,): 4, (2,): Fraction(1, 2), (3,): 5}
+        assert type(out[(1,)]) is int and type(out[(3,)]) is int
+        assert laurent._canonical({(0,): 0, (1,): 7}) == {(1,): 7}
+        assert laurent._canonical({}) == {}
+
+    def test_kernels_pick_the_adder_of_their_dimension(self):
+        rng = random.Random(1217)
+        for dim in (1, 2, 3, 4):
+            A, B = (draw_matrix(rng, 2, dim, TestFusedProduct.COEFFS, zero_rate=0.2)
+                    for _ in range(2))
+            assert A * B == reference_product(A, B)
+            assert matrix_det(A) == reference_det(A)
+            for b, M in enumerate(delta_products(A, B, dim, left=True)):
+                assert M == matrix_delta(basis(dim)[b], A) * B
+
+    def test_no_kernel_mutates_its_inputs(self):
+        rng = random.Random(1218)
+        one, f = LaurentPoly.const(1, 2), X((1, -1), 2) + X((0, 2), Fraction(1, 2))
+        U = LaurentMatrix([[one, f], [LaurentPoly(), one]])  # its 1x1 minors are its own entries
+        C, M, D, Z, W = (draw_matrix(rng, 2, 2, TestFusedProduct.COEFFS) for _ in range(5))
+        inputs = [U, C, M, D, Z, W]
+        before = copy.deepcopy([[[dict(g.terms) for g in row] for row in A.entries] for A in inputs])
+        inv = matrix_inverse_unit(U)
+        assert inv.entries[0][0].terms is U.entries[1][1].terms  # handed through, not copied
+        matrix_det(U)
+        vanishing(C, [M, U], D, [[Z, W]], [[W, Z]])
+        vanishing(U, [inv, M], minus=[[LaurentMatrix.identity(2, 2), W]])
+        results = [inv, C * M, C.mul_add(M, Z), *conjugations(C, [M, U], D, [Z, W]),
+                   *delta_products(C, U, 2, left=True), *delta_products(U, D, 2, left=False),
+                   U.shift_columns([(0, 0), (1, 0)]), U.scale(1)]
+        for R in results:  # kernels on the results must not reach back into the inputs
+            R.mul_add(R, R)
+            vanishing(R, [U], R, [[R]], [[U]])
+        f * f + f.scale(Fraction(1, 2)) + f.shift((1, 1))
+        after = [[[dict(g.terms) for g in row] for row in A.entries] for A in inputs]
+        assert after == before
+
+
+class TestChartPredicate:
+    """chart_member is the exponent predicate in_chart over every term."""
+
+    def test_in_chart_matches_chart_member_on_monomials(self):
+        fan = projective_fan(2)
+        for cone in fan.cones:
+            rays = fan.ray_matrix(cone)
+            for e in [(a, b) for a in range(-2, 3) for b in range(-2, 3)]:
+                assert in_chart(e, rays) == chart_member(X(e), cone, fan)
+        assert in_chart((-7, 3), [])
+        with pytest.raises(DimensionError):
+            in_chart((1, 0, 0), [(1, 0)])

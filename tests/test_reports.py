@@ -60,6 +60,14 @@ class TestPayloads:
             {"exponent": [1, 1], "num": 3, "den": 1},
         ]
 
+    def test_int_poly_payload_splits_a_fraction(self):
+        p = IntPoly({(1,): Fraction(1, 2), (0,): Fraction(6, 3)})
+        assert int_poly_payload(p) == [
+            {"exponent": [0], "num": 2, "den": 1},
+            {"exponent": [1], "num": 1, "den": 2},
+        ]
+        assert int_poly_payload(p) == poly_payload(p)
+
 
 class TestReport:
     def make(self, statuses):

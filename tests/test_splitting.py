@@ -718,17 +718,27 @@ def composed_checks(td, monkeypatch):
 
 
 def count_conjugated(monkeypatch):
-    """A list that collects the batch size of every conjugations call."""
+    """A list that collects the batch size of every conjugations call and conjugation zero test.
+
+    Zero tests of products C * X_b (no D) conjugate nothing and are not counted.
+    """
     sizes = []
-    real = splitting_mod.conjugations
+    real, real_zero = splitting_mod.conjugations, splitting_mod.vanishing
 
     def spy(C, Xs, D, addends=None):
         Xs = tuple(Xs)
         sizes.append(len(Xs))
         return real(C, Xs, D, addends)
 
+    def zero_spy(C, Xs, D=None, plus=(), minus=()):
+        Xs = tuple(Xs)
+        if D is not None:
+            sizes.append(len(Xs))
+        return real_zero(C, Xs, D, plus, minus)
+
+    monkeypatch.setattr(splitting_mod, "conjugations", spy)
     for mod in (cocycles_mod, splitting_mod):
-        monkeypatch.setattr(mod, "conjugations", spy)
+        monkeypatch.setattr(mod, "vanishing", zero_spy)
     return sizes
 
 
