@@ -13,10 +13,15 @@ square-matrix calculus over the Laurent ring, including inversion of
 matrices whose determinant is a unit (a single monomial term).
 
 Matrix products are fused, row-sparse passes that accumulate each entry as
-one raw term map.  One pass serves a batch: C and D are made row-sparse once,
-each row of C * X_b (* D) is accumulated into term maps seeded with the terms
-of Z_b and minus those of W_b, and the middle product stays raw.  The pass
-has two tails:
+one raw term map.  They run over flat rows: each row of a matrix as one list
+of its terms, (column, exponent, coefficient), built the first time the
+matrix is a factor or a seed and cached on it.  The cache relies on
+immutability: a matrix never changes once built, and neither does the term
+map of any of its polynomials.  One pass serves a batch: each row of
+C * X_b (* D) is accumulated into fresh term maps seeded with the terms of
+Z_b and minus those of W_b, and the middle product C * X_b stays raw; it is
+flattened, its cancelled zeros dropped, before it meets D.  The pass has two
+tails:
 
 * the build tail makes every coefficient canonical once and wraps the
   result: :meth:`LaurentMatrix.mul_add` returns A * B + Z (``*`` is the same
@@ -27,9 +32,11 @@ has two tails:
   coefficient.  Exact identities are checked this way.
 
 :func:`delta_products` returns delta_{e_b}(C) * D, or C * delta_{e_b}(D), for
-every basis vector e_b at once.  Determinants expand over raw term maps too.
-Each kernel call sums exponents with one adder picked from the length of its
-first exponent (``fans.vec_adder``).
+every basis vector e_b at once, over the same flat rows.  Determinants expand
+over raw term maps with the product kernel :func:`_accumulate`, which
+otherwise serves only ``LaurentPoly * LaurentPoly``.  Each kernel call sums
+exponents with one adder picked from the length of its first exponent
+(``fans.vec_adder``).
 """
 
 from __future__ import annotations
@@ -195,60 +202,65 @@ class LaurentPoly:
 _ZERO = LaurentPoly()  # the shared zero entry of matrix products
 
 
-def _sparse_rows(M: "LaurentMatrix") -> list:
-    """Each row of M as its nonzero entries: a list of (column, term map)."""
-    return [[(q, f.terms) for q, f in enumerate(row) if f.terms] for row in M.entries]
+def _sparse_rows(M: "LaurentMatrix") -> tuple:
+    """Each row of M as one flat list of its terms: (column, exponent, coefficient).
 
-
-def _row_product(accs: dict, row: list, right: list, vadd=vec_add) -> dict:
-    """Add one row-sparse left row times a row-sparse right factor into accs.
-
-    ``accs`` maps a column q to the term map of entry q; entry k of the row
-    meets only the nonzero entries of right row k.  Returns accs.
+    Terms are listed by column, then in the order of the entry's term map.
+    The list is built the first time M is a factor or a seed of the pass and
+    kept in M's ``_flat`` slot; that is sound because neither a matrix nor
+    its polynomials change once built.
     """
-    for k, a in row:
-        for q, b in right[k]:
+    rows = M._flat
+    if rows is None:
+        rows = M._flat = tuple([[(q, e, c) for q, f in enumerate(row) for e, c in f.terms.items()]
+                                for row in M.entries])
+    return rows
+
+
+def _row_product(accs: dict, row: list, right: tuple, vadd=vec_add) -> dict:
+    """Add one flat left row times a flat right factor into accs; returns accs.
+
+    ``accs`` maps a column q to the raw term map of entry q; a term in
+    column k of the row meets only the terms of right row k.
+    """
+    for k, e1, c1 in row:
+        for q, e2, c2 in right[k]:
             acc = accs.get(q)
             if acc is None:
                 acc = accs[q] = {}
-            _accumulate(acc, a, b, vadd)
+            e = vadd(e1, e2)
+            acc[e] = acc.get(e, 0) + c1 * c2
     return accs
 
 
 def _seeds(size: int, signed) -> list:
     """Fresh accumulators holding sign * M summed over the pairs (M, sign) in signed.
 
-    One map of columns per row; sign is 1 or -1.
+    One map of columns per row; sign is 1 or -1.  Every term map is new, so
+    no accumulator is ever an input's own map.
     """
     seeds = [{} for _ in range(size)]
     for M, sign in signed:
-        for accs, row in zip(seeds, M.entries):
-            for q, f in enumerate(row):
-                terms = f.terms
-                if not terms:
-                    continue
+        for accs, row in zip(seeds, _sparse_rows(M)):
+            for q, e, c in row:
                 acc = accs.get(q)
                 if acc is None:
-                    accs[q] = dict(terms) if sign == 1 else {e: -c for e, c in terms.items()}
-                    continue
-                get = acc.get
-                for e, c in terms.items():
-                    acc[e] = get(e, 0) + sign * c
+                    acc = accs[q] = {}
+                acc[e] = acc.get(e, 0) + (c if sign == 1 else -c)
     return seeds
 
 
-def _product_row(accs: dict, row: list, middle: list, right, vadd) -> dict:
+def _product_row(accs: dict, row: list, middle: tuple, right, vadd) -> dict:
     """One row of L * M (* R) added into accs, its seeded accumulators; returns accs.
 
-    ``row`` is the row-sparse row of L, ``middle`` and ``right`` the
-    row-sparse M and R (None for a plain product).  The row of L * M stays
-    raw; its cancelled zeros are dropped before it meets R.
+    ``row`` is the flat row of L, ``middle`` and ``right`` the flat rows of
+    M and R (None for a plain product).  The row of L * M stays raw; it is
+    flattened, its cancelled zeros dropped, before it meets R.
     """
     if right is None:
         return _row_product(accs, row, middle, vadd)
-    mid = _row_product({}, row, middle, vadd)
-    mid = [(k, acc if 0 not in acc.values() else {e: c for e, c in acc.items() if c})
-           for k, acc in mid.items()]
+    mid = [(k, e, c) for k, acc in _row_product({}, row, middle, vadd).items()
+           for e, c in acc.items() if c]
     return _row_product(accs, mid, right, vadd)
 
 
@@ -257,10 +269,10 @@ def _batch(C: "LaurentMatrix", Xs, D, signed, tail) -> tuple:
 
     ``signed`` lists pairs (batch, sign), each batch aligned with Xs and
     sign 1 or -1; S_b sums sign * M_b over them and seeds the accumulators.
-    C and D are made row-sparse once.  ``tail(left, middle, right, seeds,
-    vadd)`` turns one element into its result, computing its rows with
-    :func:`_product_row` as it needs them.  A batch of another length raises
-    ValueError, a matrix of another size DimensionError.
+    Every factor's flat rows come from its cache.  ``tail(left, middle,
+    right, seeds, vadd)`` turns one element into its result, computing its
+    rows with :func:`_product_row` as it needs them.  A batch of another
+    length raises ValueError, a matrix of another size DimensionError.
     """
     Xs = tuple(Xs)
     n, size = len(Xs), C.size
@@ -395,9 +407,16 @@ def bracket(A: VField, B: VField) -> VField:
 
 
 class LaurentMatrix:
-    """Square matrix of Laurent polynomials."""
+    """Square matrix of Laurent polynomials; immutable.
 
-    __slots__ = ("size", "entries")
+    ``entries`` is a tuple of row tuples.  ``_flat`` caches the flat rows of
+    the product pass (:func:`_sparse_rows`), None until the matrix is first
+    a factor or a seed; it is correct only because neither ``entries`` nor
+    the term maps of its polynomials are ever changed.  Equality compares
+    ``entries`` alone.
+    """
+
+    __slots__ = ("size", "entries", "_flat")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -407,6 +426,7 @@ class LaurentMatrix:
                 raise ValueError("matrix must be square")
         self.size = r
         self.entries = rows
+        self._flat = None
 
     @classmethod
     def _square(cls, rows: tuple) -> "LaurentMatrix":
@@ -414,6 +434,7 @@ class LaurentMatrix:
         res = cls.__new__(cls)
         res.size = len(rows)
         res.entries = rows
+        res._flat = None
         return res
 
     @classmethod
@@ -450,10 +471,10 @@ class LaurentMatrix:
                 ) -> "LaurentMatrix":
         """self * other + addend in one row-sparse pass.
 
-        Each nonzero entry k of a left row meets only the nonzero entries of
-        right row k, and entry (p, q) is one term map, seeded with the terms
-        of addend[p][q] and built by the product kernel.  Zero entries share
-        one empty polynomial.  ``*`` is this method without an addend.
+        Each term in column k of a left row meets only the terms of right
+        row k, and entry (p, q) is one term map, seeded with the terms of
+        addend[p][q].  Zero entries share one empty polynomial.  ``*`` is
+        this method without an addend.
         """
         return _batch(self, (other,), None, () if addend is None else (((addend,), 1),),
                       _built)[0]
@@ -494,11 +515,11 @@ def conjugations(C: LaurentMatrix, Xs, D: LaurentMatrix, addends=None
                  ) -> tuple[LaurentMatrix, ...]:
     """The tuple of C * X_b * D + Z_b over a batch, Z_b from ``addends`` (or zero).
 
-    The build tail of the one pass (module docstring): C and D are made
-    row-sparse once for the whole batch, the middle product C * X_b stays
-    raw, and each result entry, seeded with the terms of Z_b, is made
-    canonical once.  A batch and addends of different lengths raise
-    ValueError, matrices of different sizes DimensionError.
+    The build tail of the one pass (module docstring): the flat rows of C
+    and D serve the whole batch, the middle product C * X_b stays raw, and
+    each result entry, seeded with the terms of Z_b, is made canonical
+    once.  A batch and addends of different lengths raise ValueError,
+    matrices of different sizes DimensionError.
     """
     return _batch(C, Xs, D, () if addends is None else ((tuple(addends), 1),), _built)
 
@@ -526,22 +547,6 @@ def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
         tuple(tuple(delta_apply(v, a) for a in row) for row in C.entries))
 
 
-def _accumulate_delta(accs: list, weighted: list, plain: dict, vadd) -> None:
-    """The product kernel for delta_products: accs[b][e1 + e2] += c1 * w_b * c2.
-
-    ``weighted`` lists each term (e1, c1) of one factor as (e1, [(b, c1 * w_b)])
-    with only the basis directions whose weight w_b is nonzero; ``plain`` is
-    the term map of the other factor.  Each exponent sum is formed once for
-    every direction.  The caller runs :func:`_canonical` once at the end.
-    """
-    for e1, parts in weighted:
-        for e2, c2 in plain.items():
-            e = vadd(e1, e2)
-            for b, c1 in parts:
-                acc = accs[b]
-                acc[e] = acc.get(e, 0) + c1 * c2
-
-
 def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
                    ) -> tuple[LaurentMatrix, ...]:
     """The products with one factor differentiated, for every basis vector, in one pass.
@@ -551,41 +556,48 @@ def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
     to ``matrix_delta(e_b, C) * D`` and ``C * matrix_delta(e_b, D)``.  A term
     pair (e1, c1), (e2, c2) adds c1 * c2 * w[b] at e1 + e2, w being e1 (left)
     or e2 (right); a direction with w[b] = 0 adds nothing, as delta_apply
-    drops those terms.  The pass is row-sparse like :meth:`LaurentMatrix.mul_add`,
-    with one term map per entry and b, each made canonical once.
+    drops those terms.  The pass runs over the flat rows of C and D like
+    :meth:`LaurentMatrix.mul_add`, with one term map per entry and b, each
+    made canonical once.
     """
     C._check_size(D)
     basis = range(dim)
     vadd = _adder(C)
 
-    def weighted(f: LaurentPoly) -> list:
+    def weighted(rows: tuple) -> list:
+        """Each term of the flat rows as (column, exponent, [(b, c * e[b]) for e[b] != 0])."""
         out = []
-        for e, c in f.terms.items():
-            parts = [(b, c * e[b]) for b in basis if e[b]]
-            if parts:
-                out.append((e, parts))
+        for row in rows:
+            wrow = []
+            for q, e, c in row:
+                parts = [(b, c * e[b]) for b in basis if e[b]]
+                if parts:
+                    wrow.append((q, e, parts))
+            out.append(wrow)
         return out
 
+    lhs, rhs = _sparse_rows(C), _sparse_rows(D)
     if left:
-        lhs = [[weighted(a) for a in row] for row in C.entries]
-        rhs = _sparse_rows(D)
+        lhs = weighted(lhs)
     else:
-        lhs = [[a.terms for a in row] for row in C.entries]
-        rhs = [[(q, w) for q, f in enumerate(row) if (w := weighted(f))] for row in D.entries]
+        rhs = weighted(rhs)
     rows = [[] for _ in basis]
     for row in lhs:
         accs = {}
-        for a, nonzero in zip(row, rhs):
-            if not a:
-                continue
-            for q, other in nonzero:
+        for k, e1, x1 in row:
+            for q, e2, x2 in rhs[k]:
                 acc = accs.get(q)
                 if acc is None:
                     acc = accs[q] = [{} for _ in basis]
-                if left:
-                    _accumulate_delta(acc, a, other, vadd)
+                e = vadd(e1, e2)
+                if left:  # x1 holds the weighted parts, x2 a coefficient
+                    for b, w in x1:
+                        terms = acc[b]
+                        terms[e] = terms.get(e, 0) + w * x2
                 else:
-                    _accumulate_delta(acc, other, a, vadd)
+                    for b, w in x2:
+                        terms = acc[b]
+                        terms[e] = terms.get(e, 0) + x1 * w
         for b in basis:
             rows[b].append(_entries({q: acc[b] for q, acc in accs.items()}, C.size))
     return tuple(LaurentMatrix._square(tuple(r)) for r in rows)

@@ -79,6 +79,7 @@ from .laurent import (
     Coeff,
     LaurentMatrix,
     LaurentPoly,
+    _sparse_rows,
     conjugations,
     delta_products,
     exact,
@@ -128,13 +129,20 @@ class SplitResult:
 
 
 class WeightCapError(ValueError):
-    """TORLOG_WEIGHT_CAP is set but is not an integer."""
+    """A weight cap, given or from TORLOG_WEIGHT_CAP, is not an integer."""
 
 
 def weight_cap(cap=None) -> int:
-    """The closure depth cap: ``cap`` if given, else TORLOG_WEIGHT_CAP, else the default."""
+    """The closure depth cap: ``cap`` if given, else TORLOG_WEIGHT_CAP, else the default.
+
+    A given cap must be an ``int`` (a bool is not one); anything else raises
+    WeightCapError rather than being truncated.  A negative cap is allowed
+    and searches nothing.
+    """
     if cap is not None:
-        return int(cap)
+        if type(cap) is not int:
+            raise WeightCapError(f"the weight cap must be an integer, got {cap!r}")
+        return cap
     raw = os.environ.get("TORLOG_WEIGHT_CAP")
     if raw is None:
         return DEFAULT_WEIGHT_CAP
@@ -301,29 +309,26 @@ def _solve_graded(cocycle, data, weights):
                 off = outside[m] = not in_chart(m, rays)
             return off
 
-        # g_{s0} conjugated into chart t; only exponents outside chart(t) give rows
-        for k in range(r):
-            for l in range(r):
-                for p in range(r):
-                    left = C.entries[p][k]
-                    if left.is_zero():
-                        continue
-                    for q in range(r):
-                        prod = left * D.entries[l][q]
-                        if prod.is_zero():
-                            continue
+        # g_{s0} conjugated into chart t: a term pair of C_{t s0}[p][k] and C_{s0 t}[l][q]
+        # carries unknown (k, l, w) to entry (p, q) at e1 + e2 + w; only exponents
+        # outside chart(t) give rows
+        right = _sparse_rows(D)
+        for p, terms in enumerate(_sparse_rows(C)):
+            for k, e1, c1 in terms:
+                for l in range(r):
+                    for q, e2, c2 in right[l]:
+                        mc, c = vadd(e1, e2), c1 * c2
                         for w in root_weights:
+                            m = vadd(mc, w)
+                            if not off_chart(m):
+                                continue
                             var = var_of[(k, l, w)]
-                            for mc, c in prod.terms.items():
-                                m = vadd(mc, w)
-                                if not off_chart(m):
-                                    continue
-                                row = row_at((t, p, q, m))
-                                nv = row.get(var, 0) + c
-                                if nv:
-                                    row[var] = nv
-                                else:
-                                    row.pop(var, None)
+                            row = row_at((t, p, q, m))
+                            nv = row.get(var, 0) + c
+                            if nv:
+                                row[var] = nv
+                            else:
+                                row.pop(var, None)
         # right-hand side: A_{t s0}, one column per basis vector
         for b in range(n):
             A = cocycle.pairs[(t, root)][b]

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torlog import laurent
-from torlog.cocycles import atiyah_cocycle
+from torlog.cocycles import (
+    atiyah_cocycle,
+    check_cocycle_pipelines,
+    check_frame_antisymmetry,
+    check_triple_identity,
+    validate_transitions,
+)
 from torlog.corpus import dressed_transitions, random_dressing, random_equivariant_data
-from torlog.fans import Cone, DimensionError, build_fan, projective_fan
+from torlog.fans import Cone, DimensionError, build_fan, hirzebruch_fan, projective_fan
 from torlog.laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -29,6 +35,7 @@ from torlog.laurent import (
     matrix_inverse_unit,
     vanishing,
 )
+from torlog.splitting import equivariance_verdict
 
 X = LaurentPoly.monomial
 
@@ -783,6 +790,96 @@ class TestPerTermCosts:
         f * f + f.scale(Fraction(1, 2)) + f.shift((1, 1))
         after = [[[dict(g.terms) for g in row] for row in A.entries] for A in inputs]
         assert after == before
+
+
+def fresh_flat(M: LaurentMatrix) -> list:
+    """The flat rows of M made afresh from its entries: (column, exponent, coefficient)."""
+    return [[(q, e, c) for q, f in enumerate(row) for e, c in f.terms.items()]
+            for row in M.entries]
+
+
+def term_maps(mats) -> list:
+    """A deep copy of every term map of the matrices, to compare before and after."""
+    return copy.deepcopy([[[f.terms for f in row] for row in M.entries] for M in mats])
+
+
+class TestFlatRowCache:
+    """Each matrix caches its flat term rows once, and the cache always matches its entries."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_every_matrix_operation_caches_the_rows_of_its_entries(self):
+        rng = random.Random(1301)
+        for _ in range(40):
+            r, dim = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+            A, B, C, Z = (draw_matrix(rng, r, dim, self.COEFFS) for _ in range(4))
+            U = random_unit_matrix(rng, r, dim)
+            for M in (A, B, C, Z, U):  # warm caches on the inputs: no result may inherit one
+                laurent._sparse_rows(M)
+            shifts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(r)]
+            results = [A + B, A - B, -A, A.scale(Fraction(2, 3)), A.scale(0),
+                       A.shift_columns(shifts), A * B, A.mul_add(B, Z),
+                       *conjugations(A, [B, U], C), *conjugations(A, [B, U], C, [Z, A]),
+                       *delta_products(A, B, dim, left=True),
+                       *delta_products(A, B, dim, left=False), matrix_inverse_unit(U),
+                       LaurentMatrix.identity(r, dim), LaurentMatrix.zero(r),
+                       LaurentMatrix.diagonal(A.entries[0]), LaurentMatrix(A.entries)]
+            for R in results:
+                fresh = fresh_flat(R)
+                assert R._flat is None or list(R._flat) == fresh  # nothing stale from an input
+                rows = laurent._sparse_rows(R)
+                assert list(rows) == fresh
+                assert laurent._sparse_rows(R) is rows  # built once, then read from the cache
+
+    def test_factors_and_seeds_are_flattened_once(self):
+        rng = random.Random(1302)
+        C, M, D, Z, W = (draw_matrix(rng, 3, 2, self.COEFFS) for _ in range(5))
+        assert all(A._flat is None for A in (C, M, D, Z, W))
+        got = vanishing(C, [M], D, [[Z]], [[W]])
+        cached = [A._flat for A in (C, M, D, Z, W)]
+        assert all(rows is not None for rows in cached)
+        assert vanishing(C, [M], D, [[Z]], [[W]]) == got
+        conjugations(C, [M], D, [Z])
+        delta_products(C, D, 2, left=True)
+        assert [A._flat for A in (C, M, D, Z, W)] == cached
+        assert all(A._flat is rows for A, rows in zip((C, M, D, Z, W), cached))
+
+    def test_equality_ignores_the_cache(self):
+        rng = random.Random(1303)
+        A = draw_matrix(rng, 3, 2, self.COEFFS)
+        B = LaurentMatrix(A.entries)
+        laurent._sparse_rows(A)
+        assert A._flat is not None and B._flat is None
+        assert A == B and B == A
+
+    def test_seeds_never_alias_an_input_map(self):
+        rng = random.Random(1304)
+        Z, W = (draw_matrix(rng, 3, 2, self.COEFFS, zero_rate=0) for _ in range(2))
+        inputs = {id(f.terms) for M in (Z, W) for row in M.entries for f in row}
+        for signed in ([(Z, 1)], [(W, -1)], [(Z, 1), (W, -1)]):
+            seeds = laurent._seeds(3, signed)
+            assert all(id(acc) not in inputs for accs in seeds for acc in accs.values())
+
+    @pytest.mark.parametrize("fan", [projective_fan(2), hirzebruch_fan(1)], ids=["P2", "F1"])
+    def test_checks_and_verdict_leave_every_input_term_map_unchanged(self, fan):
+        rng = random.Random(1305)
+        for rank in (1, 2, 3):
+            td = dressed_transitions(random_equivariant_data(fan, rank, rng),
+                                     random_dressing(fan, rank, rng, factors=1))
+            inputs = list(td.matrices.values())
+            before = term_maps(inputs)
+            # a cocycle-ladder item: what the cocycle and theorem-ab commands run
+            assert all(c.ok for c in validate_transitions(td))
+            A = atiyah_cocycle(td)
+            cocycle = [M for mats in A.pairs.values() for M in mats]
+            built = term_maps(cocycle)
+            for checks in (check_frame_antisymmetry(A, td), check_triple_identity(A, td),
+                           check_cocycle_pipelines(td)):
+                assert checks and all(c.ok for c in checks)
+            assert term_maps(inputs) == before and term_maps(cocycle) == built
+            checks, result = equivariance_verdict(td)
+            assert checks[-1].status == "pass" and result.found
+            assert term_maps(inputs) == before and term_maps(cocycle) == built
 
 
 class TestChartPredicate:

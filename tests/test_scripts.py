@@ -1,7 +1,9 @@
-"""The scripts under scripts/ run, and make_models.py reproduces models/ byte for byte."""
+"""The scripts under scripts/ run, make_models.py reproduces models/ byte for byte,
+and a short benchmark run passes every exact gate of its workloads."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +45,14 @@ def test_sweep_line_bundles_reports_a_malformed_cap_as_a_usage_error(monkeypatch
     # an explicit --cap beats the environment, as in the library
     proc = run_script("sweep_line_bundles.py", "--fan", "p1", "--max-degree", "1", "--cap", "2")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_gates_pass_on_every_workload():
+    """A half-second run of each perfbench workload: every item passes its exact output gate."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+                           "--seed", "1", "--seconds", "0.5", "--trace", "0"],
+                          capture_output=True, text=True, cwd=ROOT, check=False)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["attempted"] > 0

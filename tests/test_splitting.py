@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,11 +34,13 @@ from torlog.splitting import (
     InconsistentSplittingError,
     MatrixCochain,
     SplitResult,
+    WeightCapError,
     connection_from_splitting,
     equivariance_verdict,
     equivariant_splitting,
     split_cocycle,
     verify_splitting,
+    weight_cap,
 )
 
 X = LaurentPoly.monomial
@@ -119,6 +122,21 @@ class TestSplitCocycle:
         result = split_cocycle(A, td, cap=-1)
         assert not result.found
         assert result.weights_searched == 0
+
+    @pytest.mark.parametrize("cap", [2.7, 2.0, True, False, "2", Fraction(2)])
+    def test_a_cap_that_is_not_an_int_raises(self, cap):
+        message = f"the weight cap must be an integer, got {cap!r}"
+        with pytest.raises(WeightCapError, match=re.escape(message)):
+            weight_cap(cap)
+        _, td, A = p1_setup(2)
+        with pytest.raises(WeightCapError):
+            split_cocycle(A, td, cap=cap)
+        with pytest.raises(WeightCapError):
+            equivariance_verdict(td, cap=cap)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 3, 7])
+    def test_an_int_cap_is_kept_as_given(self, cap):
+        assert weight_cap(cap) == cap and type(weight_cap(cap)) is int
 
     def test_env_cap_respected(self, monkeypatch):
         monkeypatch.setenv("TORLOG_WEIGHT_CAP", "-1")
