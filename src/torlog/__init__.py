@@ -59,6 +59,7 @@ from .laurent import (
     bracket,
     chart_member,
     conjugations,
+    constant_product,
     delta_apply,
     delta_products,
     in_chart,

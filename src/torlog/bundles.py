@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .fans import Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
+from .fans import DimensionError, Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
 from .laurent import LaurentPoly, chart_member, delta_apply
 
 
@@ -257,8 +257,14 @@ class IntPoly(LaurentPoly):
         return cls({tuple(1 if j == i else 0 for j in range(n)): m[i] for i in range(n)})
 
     def evaluate(self, point: IntVec) -> int:
+        """The value at point.
+
+        A point whose length is not the number of variables raises DimensionError.
+        """
         total = 0
         for exp, c in self.terms.items():
+            if len(point) != len(exp):
+                raise DimensionError(f"a point of length {len(point)} for {len(exp)} variables")
             term = c
             for x, e in zip(point, exp):
                 term *= x**e

@@ -20,8 +20,8 @@ immutability: a matrix never changes once built, and neither does the term
 map of any of its polynomials.  One pass serves a batch: each row of
 C * X_b (* D) is accumulated into fresh term maps seeded with the terms of
 Z_b and minus those of W_b, and the middle product C * X_b stays raw; it is
-flattened, its cancelled zeros dropped, before it meets D.  The pass has two
-tails:
+flattened, its cancelled zeros dropped, before it meets D.  The pass has
+three tails:
 
 * the build tail makes every coefficient canonical once and wraps the
   result: :meth:`LaurentMatrix.mul_add` returns A * B + Z (``*`` is the same
@@ -29,7 +29,10 @@ tails:
 * the zero-test tail, :func:`vanishing`, returns one bool per X_b, whether
   C * X_b * D + Z_b - W_b (or C * X_b + Z_b - W_b) is zero.  It builds no
   polynomial and stops an element at its first row with a nonzero
-  coefficient.  Exact identities are checked this way.
+  coefficient.  Exact identities are checked this way;
+* the constant tail, :func:`constant_product`, is the same test with the
+  coefficients at exponent 0 let through: whether C * D is constant, which
+  is whether delta(C) * D + C * delta(D) vanishes in every direction.
 
 :func:`delta_products` returns delta_{e_b}(C) * D, or C * delta_{e_b}(D), for
 every basis vector e_b at once, over the same flat rows.  Determinants expand
@@ -314,6 +317,24 @@ def _vanishes(left, middle, right, seeds, vadd) -> bool:
     return True
 
 
+def _constant(left, middle, right, seeds, vadd) -> bool:
+    """The constant tail: does every nonzero coefficient sit at exponent 0?
+
+    Each raw entry drops its term at exponent 0 and is then tested for zero
+    as in :func:`_vanishes`; the term maps are the pass's own, never an
+    input's.  Stops at the first row with a nonzero coefficient left.
+    """
+    zero = None
+    for row, accs in zip(left, seeds):
+        for acc in _product_row(accs, row, middle, right, vadd).values():
+            if zero is None:
+                zero = (0,) * len(next(iter(acc)))
+            acc.pop(zero, None)
+            if any(acc.values()):
+                return False
+    return True
+
+
 def _entries(accs: dict, size: int) -> tuple:
     """One matrix row from its term maps by column; a missing or cancelled entry is _ZERO."""
     out = [_ZERO] * size
@@ -539,6 +560,27 @@ def vanishing(C: LaurentMatrix, Xs, D: LaurentMatrix | None = None, plus=(), min
     """
     return _batch(C, Xs, D, [(tuple(Zs), 1) for Zs in plus] + [(tuple(Ws), -1) for Ws in minus],
                   _vanishes)
+
+
+def constant_product(C: LaurentMatrix, D: LaurentMatrix) -> bool:
+    """Whether C * D is constant: every nonzero coefficient at exponent 0.
+
+    This is the zero test of delta(C) * D + C * delta(D) in every direction
+    at once, built from neither product.  A term pair (e1, c1) of C and
+    (e2, c2) of D adds c1 * c2 * e1[b] at e = e1 + e2 to delta_{e_b}(C) * D
+    and c1 * c2 * e2[b] to C * delta_{e_b}(D) (see :func:`delta_products`),
+    so their sum at e is e[b] * P[e], P[e] being the raw sum of c1 * c2 over
+    the pairs that land at e, the coefficient of C * D there.  The sum
+    vanishes for every b exactly when P[e] = 0 at every e != 0.  That is an
+    identity of exact term sums, the Leibniz rule on them; it assumes
+    nothing of C * D, which need not be 1.
+
+    The constant tail of the pass behind :func:`vanishing` (module
+    docstring): the raw product, cancelled zeros included, is read
+    directly; no coefficient is made canonical and no polynomial is built.
+    Matrices of different sizes raise DimensionError.
+    """
+    return _batch(C, (D,), None, (), _constant)[0]
 
 
 def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:

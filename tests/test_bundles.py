@@ -26,7 +26,7 @@ from torlog.bundles import (
     section_in_chart,
 )
 from torlog.corpus import line_bundle_data, random_equivariant_data, surface_fans
-from torlog.fans import build_fan, product_p1_fan, projective_fan
+from torlog.fans import DimensionError, build_fan, product_p1_fan, projective_fan
 from torlog.laurent import LaurentPoly, delta_apply
 
 X = LaurentPoly.monomial
@@ -263,6 +263,13 @@ class TestChern:
         assert e0 == IntPoly.constant(1, 2)
         assert e1 == IntPoly({(1, 0): 1, (0, 1): 1})
         assert e2 == IntPoly({(1, 1): 1})
+
+    def test_evaluate_rejects_a_point_of_another_length(self):
+        p = IntPoly({(1, 1): 2, (0, 2): -1})  # 2 v1 v2 - v2^2
+        assert p.evaluate((3, 5)) == 5
+        for point in [(3,), (3, 5, 7), ()]:
+            with pytest.raises(DimensionError):
+                p.evaluate(point)
 
     def test_substitute_linear(self):
         p = IntPoly({(1, 1): 1})  # v1 * v2

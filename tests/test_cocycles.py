@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from torlog import cocycles as cocycles_mod
 from torlog.cli import load_model
 from torlog.cocycles import (
@@ -30,7 +32,7 @@ from torlog.corpus import (
     random_transition_data,
     surface_fans,
 )
-from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
+from torlog.fans import DimensionError, hirzebruch_fan, product_p1_fan, projective_fan
 from torlog.laurent import LaurentMatrix, LaurentPoly, matrix_delta, matrix_inverse_unit
 
 X = LaurentPoly.monomial
@@ -236,6 +238,15 @@ class TestMatrixCocycle:
         A = atiyah_cocycle(td)
         assert A.evaluate(1, 2, (0,)).is_zero()
 
+    def test_evaluate_rejects_a_vector_of_another_length(self):
+        td = diagonal_transitions(line_bundle_data(projective_fan(2), 3))
+        A = atiyah_cocycle(td)
+        s, t = td.ordered_pairs()[0]
+        assert A.evaluate(s, t, (1, 0)) == A.pairs[(s, t)][0]
+        for v in [(1, 0, 5), (1,), ()]:
+            with pytest.raises(DimensionError):
+                A.evaluate(s, t, v)
+
     def test_handmade_cocycle_roundtrip(self):
         fan = projective_fan(1)
         M = LaurentMatrix([[X((1,), 2)]])
@@ -338,18 +349,12 @@ class TestFusedPipelines:
             assert triples == [((a, b, c), ok) for a, b, c, ok in reference_triples(A, td)]
             assert not all(ok for _, ok in anti) and not all(ok for _, ok in triples)
 
-    def test_broken_pipeline_is_still_caught(self, monkeypatch):
-        td = next(ladder_draws(74))
-        real = cocycles_mod.delta_products
+    def test_broken_pipeline_is_still_caught(self):
+        # one side plus the identity: the check agrees with the built comparison
+        def plus_identity(C):
+            return C + LaurentMatrix.identity(C.size, len(first_exponent(C)))
 
-        def off_by_one(C, D, dim, left):
-            out = real(C, D, dim, left)
-            if left:
-                return out
-            return (out[0] + LaurentMatrix.identity(C.size, dim),) + out[1:]
-
-        monkeypatch.setattr(cocycles_mod, "delta_products", off_by_one)
-        assert not any(c.ok for c in check_cocycle_pipelines(td))
+        assert spoiled_pair_failures(88, plus_identity)
 
 
 def reference_cocycle_law(data):
@@ -413,60 +418,67 @@ def reference_pipelines(data):
 
 
 class TestNegationFreePipelines:
-    """check_cocycle_pipelines compares c == -c' on identical supports."""
-
-    def pipelines(self, td):
-        return [(tuple(int(x) for x in re.findall(r"\d+", c.name)), c.ok)
-                for c in check_cocycle_pipelines(td)]
+    """check_cocycle_pipelines builds neither cocycle: C_st * C_ts must be constant."""
 
     def test_matches_reference_over_ladder(self):
         for td in ladder_draws(84):
-            assert self.pipelines(td) == reference_pipelines(td)
-            assert all(ok for _, ok in self.pipelines(td))
+            assert pipeline_verdicts(td) == reference_pipelines(td)
+            assert all(ok for _, ok in pipeline_verdicts(td))
 
-    def broken(self, monkeypatch, spoil):
-        real = cocycles_mod.delta_products
+    def test_same_sign_pipeline_fails(self):
+        # one side plus a non-constant monomial in its first entry
+        def plus_monomial(C):
+            n = len(first_exponent(C))
+            rows = [list(row) for row in C.entries]
+            rows[0][0] = rows[0][0] + X(tuple(int(i == 0) for i in range(n)))
+            return LaurentMatrix(rows)
 
-        def patched(C, D, dim, left):
-            out = real(C, D, dim, left)
-            return out if left else spoil(out)
+        assert spoiled_pair_failures(85, plus_monomial)
 
-        monkeypatch.setattr(cocycles_mod, "delta_products", patched)
-
-    def test_same_sign_pipeline_fails(self, monkeypatch):
-        self.broken(monkeypatch, lambda out: tuple(-M for M in out))
-        failed = 0
-        for td in ladder_draws(85):
-            got = self.pipelines(td)
-            assert got == reference_pipelines(td)
-            # only a pair whose cocycle is zero is still opposite to itself
-            A = atiyah_cocycle(td)
-            assert got == [(pair, all(M.is_zero() for M in A.pairs[pair])) for pair in sorted(A.pairs)]
-            failed += sum(not ok for _, ok in got)
-        assert failed
-
-    def test_one_moved_term_fails(self, monkeypatch):
-        # the same coefficients on a shifted support, in the first matrix
+    def test_one_moved_term_fails(self):
+        # the same coefficients on a shifted support, in the first nonzero entry
         def shift(f):
             e = next(iter(f.terms))
             return f.shift(tuple(int(i == 0) for i in range(len(e))))
 
-        self.broken(monkeypatch, lambda out: (spoil_first_entry(out[0], shift),) + out[1:])
-        for td in ladder_draws(86):
-            got = self.pipelines(td)
-            assert got == reference_pipelines(td)
-        assert not all(ok for _, ok in got)
+        assert spoiled_pair_failures(86, lambda C: spoil_first_entry(C, shift))
 
-    def test_one_changed_coefficient_fails(self, monkeypatch):
-        # one coefficient off by 1/3, in the last matrix
+    def test_one_changed_coefficient_fails(self):
+        # one coefficient off by 1/3, in the first nonzero entry
         def bump(f):
             return f + X(next(iter(f.terms)), Fraction(1, 3))
 
-        self.broken(monkeypatch, lambda out: out[:-1] + (spoil_first_entry(out[-1], bump),))
-        for td in ladder_draws(87):
-            got = self.pipelines(td)
-            assert got == reference_pipelines(td)
-        assert not all(ok for _, ok in got)
+        assert spoiled_pair_failures(87, lambda C: spoil_first_entry(C, bump))
+
+    def test_one_side_scaled_by_3_passes(self):
+        # C_st * C_ts = 3: constant, so both paths pass though C_ts is no inverse
+        assert spoiled_pair_failures(89, lambda C: C.scale(3)) == 0
+
+
+def pipeline_verdicts(td):
+    return [(tuple(int(x) for x in re.findall(r"\d+", c.name)), c.ok)
+            for c in check_cocycle_pipelines(td)]
+
+
+def first_exponent(M):
+    return next(e for row in M.entries for f in row for e in f.terms)
+
+
+def spoiled_pair_failures(seed, spoil):
+    """Spoil one side of every ordered pair in turn, over the ladder draws of seed.
+
+    The check must agree verdict for verdict with the built comparison
+    MA == -MB; returns the number of failing checks.
+    """
+    failed = 0
+    for td in ladder_draws(seed):
+        for s, t in td.ordered_pairs():
+            spoiled = TransitionData(td.fan, td.rank, dict(td.matrices))
+            spoiled.matrices[(s, t)] = spoil(td.pair(s, t))
+            got = pipeline_verdicts(spoiled)
+            assert got == reference_pipelines(spoiled)
+            failed += sum(not ok for _, ok in got)
+    return failed
 
 
 def spoil_first_entry(M, change):

@@ -26,6 +26,7 @@ from torlog.laurent import (
     bracket,
     chart_member,
     conjugations,
+    constant_product,
     delta_apply,
     delta_products,
     in_chart,
@@ -746,6 +747,46 @@ class TestVanishing:
         assert len(calls) == 1 + 3  # one row of the first element, every row of the second
 
 
+class TestConstantProduct:
+    """The constant tail against building both delta products and comparing them."""
+
+    COEFFS = TestFusedProduct.COEFFS
+
+    def test_parity_with_the_built_pipelines(self):
+        rng = random.Random(1401)
+        outcomes = set()
+        for _ in range(300):
+            dim, r = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+            C, D = (draw_matrix(rng, r, dim, self.COEFFS) for _ in range(2))
+            got = constant_product(C, D)
+            assert got == all(L == -R for L, R in zip(delta_products(C, D, dim, left=True),
+                                                     delta_products(C, D, dim, left=False)))
+            assert got == all(not any(e) for row in (C * D).entries for f in row for e in f.terms)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_inverse_pairs_and_their_multiples_pass(self):
+        rng = random.Random(1402)
+        for dim in (1, 2, 3):
+            for r in (1, 2, 3):
+                U = random_unit_matrix(rng, r, dim)
+                V = matrix_inverse_unit(U)
+                for C, D in [(U, V), (U, V.scale(Fraction(-1, 2))), (U.scale(3), V)]:
+                    assert constant_product(C, D)
+
+    def test_cancelled_terms_off_exponent_zero_pass(self):
+        x, one = X((1,)), LaurentPoly.const(1, 1)
+        C = LaurentMatrix([[one, x], [LaurentPoly(), one]])
+        D = LaurentMatrix([[one, -x], [LaurentPoly(), one]])  # entry (0, 1): x - x
+        assert C * D == LaurentMatrix.identity(2, 1)
+        assert constant_product(C, D)
+        assert not constant_product(C, C)
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionError):
+            constant_product(LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2))
+
+
 class TestPerTermCosts:
     """The canonical-form fast path and the exponent adder of the kernels."""
 
@@ -781,6 +822,7 @@ class TestPerTermCosts:
         matrix_det(U)
         vanishing(C, [M, U], D, [[Z, W]], [[W, Z]])
         vanishing(U, [inv, M], minus=[[LaurentMatrix.identity(2, 2), W]])
+        constant_product(C, U)
         results = [inv, C * M, C.mul_add(M, Z), *conjugations(C, [M, U], D, [Z, W]),
                    *delta_products(C, U, 2, left=True), *delta_products(U, D, 2, left=False),
                    U.shift_columns([(0, 0), (1, 0)]), U.scale(1)]
