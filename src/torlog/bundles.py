@@ -260,6 +260,9 @@ class IntPoly(LaurentPoly):
         """The value at point.
 
         A point whose length is not the number of variables raises DimensionError.
+        The zero polynomial has no exponent, so no number of variables, and
+        takes a point of any length to 0; storing the count would give
+        IntPoly a field of its own beside LaurentPoly's term map.
         """
         total = 0
         for exp, c in self.terms.items():

@@ -372,7 +372,8 @@ def _run_split(model: ModelFile, rep: Report) -> None:
     if td is None:
         return
     A = atiyah_cocycle(td)
-    result = split_cocycle(A, td, cap=cap)
+    # the gate proved C_ts C_st = 1, so A is frame-antisymmetric by Leibniz (splitting docstring)
+    result = split_cocycle(A, td, cap=cap, antisymmetry=[])
     rep.artifacts["weight_cap"] = result.weight_cap
     rep.artifacts["closure_depth"] = result.closure_depth
     if result.found:

@@ -12,7 +12,7 @@ linear over the cocharacter lattice:
 * :func:`obstruction_cocycle` computes  C * delta(D),  differentiating the
   inverse first.
 
-Each pipeline makes one pass per overlap through ``laurent.delta_products``,
+Each pipeline makes one ``laurent.delta_products`` call per overlap,
 which returns the product for every basis vector at once.  Since C * D = 1,
 the Leibniz rule gives delta(C) * D = -C * delta(D), so the two must be
 exact negatives of each other.  :func:`check_cocycle_pipelines` verifies

@@ -305,12 +305,17 @@ def smith_invariants(rows) -> list[int]:
 
 
 def cone_is_smooth(fan: Fan, cone: Cone) -> bool:
-    """True when the ray generators extend to a basis of the lattice."""
+    """True when the ray generators extend to a basis of the lattice.
+
+    Below full dimension that is one invariant factor per generator, each 1:
+    dependent generators have fewer nonzero invariants and extend to no basis.
+    """
     if not cone.ray_indices:
         return True
     if cone.dim == fan.dim:
         return abs(fan.ray_elimination(cone)[1]) == 1
-    return all(d == 1 for d in smith_invariants(fan.ray_matrix(cone)))
+    invariants = smith_invariants(fan.ray_matrix(cone))
+    return len(invariants) == cone.dim and all(d == 1 for d in invariants)
 
 
 @dataclass

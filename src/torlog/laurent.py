@@ -34,12 +34,13 @@ three tails:
   coefficients at exponent 0 let through: whether C * D is constant, which
   is whether delta(C) * D + C * delta(D) vanishes in every direction.
 
-:func:`delta_products` returns delta_{e_b}(C) * D, or C * delta_{e_b}(D), for
-every basis vector e_b at once, over the same flat rows.  Determinants expand
-over raw term maps with the product kernel :func:`_accumulate`, which
-otherwise serves only ``LaurentPoly * LaurentPoly``.  Each kernel call sums
-exponents with one adder picked from the length of its first exponent
-(``fans.vec_adder``).
+:func:`delta_products` runs on the build tail too: delta_{e_b}(C) * D (or
+C * delta_{e_b}(D)) is the product of the differentiated factor's flat rows,
+each coefficient weighted by its exponent's b-th component, with the other
+factor's.  The product kernel :func:`_accumulate` is left for
+``LaurentPoly * LaurentPoly`` and the determinants, which expand over raw term
+maps.  Each kernel call sums exponents with one adder picked from the length
+of its first exponent (``fans.vec_adder``).
 """
 
 from __future__ import annotations
@@ -591,58 +592,27 @@ def matrix_delta(v: IntVec, C: LaurentMatrix) -> LaurentMatrix:
 
 def delta_products(C: LaurentMatrix, D: LaurentMatrix, dim: int, left: bool
                    ) -> tuple[LaurentMatrix, ...]:
-    """The products with one factor differentiated, for every basis vector, in one pass.
+    """The products with one factor differentiated, for every basis vector.
 
     Returns the tuple over b = 0..dim-1 of delta_{e_b}(C) * D when ``left``
     is true and of C * delta_{e_b}(D) when it is false, equal entry for entry
-    to ``matrix_delta(e_b, C) * D`` and ``C * matrix_delta(e_b, D)``.  A term
-    pair (e1, c1), (e2, c2) adds c1 * c2 * w[b] at e1 + e2, w being e1 (left)
-    or e2 (right); a direction with w[b] = 0 adds nothing, as delta_apply
-    drops those terms.  The pass runs over the flat rows of C and D like
-    :meth:`LaurentMatrix.mul_add`, with one term map per entry and b, each
-    made canonical once.
+    to ``matrix_delta(e_b, C) * D`` and ``C * matrix_delta(e_b, D)``.  For
+    each b the differentiated factor's flat rows are weighted, each term
+    (q, e, c) becoming (q, e, c * e[b]) and dropped when e[b] = 0, as
+    delta_apply drops it; the build tail of the one pass (module docstring)
+    then multiplies them with the other factor's flat rows.  Matrices of
+    different sizes raise DimensionError.
     """
     C._check_size(D)
-    basis = range(dim)
-    vadd = _adder(C)
-
-    def weighted(rows: tuple) -> list:
-        """Each term of the flat rows as (column, exponent, [(b, c * e[b]) for e[b] != 0])."""
-        out = []
-        for row in rows:
-            wrow = []
-            for q, e, c in row:
-                parts = [(b, c * e[b]) for b in basis if e[b]]
-                if parts:
-                    wrow.append((q, e, parts))
-            out.append(wrow)
-        return out
-
     lhs, rhs = _sparse_rows(C), _sparse_rows(D)
-    if left:
-        lhs = weighted(lhs)
-    else:
-        rhs = weighted(rhs)
-    rows = [[] for _ in basis]
-    for row in lhs:
-        accs = {}
-        for k, e1, x1 in row:
-            for q, e2, x2 in rhs[k]:
-                acc = accs.get(q)
-                if acc is None:
-                    acc = accs[q] = [{} for _ in basis]
-                e = vadd(e1, e2)
-                if left:  # x1 holds the weighted parts, x2 a coefficient
-                    for b, w in x1:
-                        terms = acc[b]
-                        terms[e] = terms.get(e, 0) + w * x2
-                else:
-                    for b, w in x2:
-                        terms = acc[b]
-                        terms[e] = terms.get(e, 0) + x1 * w
-        for b in basis:
-            rows[b].append(_entries({q: acc[b] for q, acc in accs.items()}, C.size))
-    return tuple(LaurentMatrix._square(tuple(r)) for r in rows)
+    vadd = _adder(C)
+    out = []
+    for b in range(dim):
+        weighted = [[(q, e, c * e[b]) for q, e, c in row if e[b]]
+                    for row in (lhs if left else rhs)]
+        factors = (weighted, rhs) if left else (lhs, weighted)
+        out.append(_built(*factors, None, [{} for _ in lhs], vadd))
+    return tuple(out)
 
 
 def _det_terms(rows: list, vadd) -> dict:

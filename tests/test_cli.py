@@ -532,6 +532,23 @@ class TestCocycleCommandRunsEachLawOnce:
         assert len(triples) == 6 and all(v["status"] == "pass" for v in triples)
 
 
+class TestSplitCommandRunsNoAntisymmetry:
+    def test_gated_split_hands_in_no_antisymmetry(self, capsys, monkeypatch):
+        calls = []
+        real = cocycles.check_frame_antisymmetry
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        for mod in (cli, cocycles, splitting):
+            monkeypatch.setattr(mod, "check_frame_antisymmetry", spy)
+        code, out, _ = run_cli(capsys, ["split", str(MODELS / "p2_rank2.json")])
+        assert code == 0
+        assert calls == []
+        verdicts = json.loads(out)["verdicts"]
+        assert any(v["check"] == "splitting" and v["status"] == "pass" for v in verdicts)
+
+
 def p1_with_entry(poly):
     model = p1_fan_block()
     model["transitions"] = {"1,2": [[poly]]}

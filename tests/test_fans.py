@@ -195,6 +195,10 @@ class TestLattice:
         fan2, _ = build_fan(
             [(1, 0, 0), (1, 2, 0)], [(), (0,), (1,), (0, 1)], dim=3)
         assert not cone_is_smooth(fan2, fan2.cones[3])
+        # (1,0,0) and (-1,0,0) are dependent: invariants [1], yet no basis
+        fan3, _ = build_fan(
+            [(1, 0, 0), (-1, 0, 0)], [(), (0,), (1,), (0, 1)], dim=3)
+        assert not cone_is_smooth(fan3, fan3.cones[3])
 
     def test_maximal_and_overlap(self):
         fan = product_p1_fan()

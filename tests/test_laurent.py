@@ -383,7 +383,7 @@ class TestFusedKernels:
         rng = random.Random(505)
         skipped = 0
         for _ in range(150):
-            r, dim = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+            r, dim = rng.choice([1, 2, 3]), rng.choice([1, 2, 3, 4])  # dim 4: vec_add fallback
             C, D = draw_matrix(rng, r, dim, self.COEFFS), draw_matrix(rng, r, dim, self.COEFFS)
             left = delta_products(C, D, dim, left=True)
             right = delta_products(C, D, dim, left=False)
