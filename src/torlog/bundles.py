@@ -131,7 +131,8 @@ def recover_weights(fan: Fan, residues: list[ResidueMatrix]) -> tuple[IntVec, ..
 
     Given one diagonal residue per ray of the cone, solves
     <m_i, v_rho> = -(entry i at rho) for each i as m_i = -inv * entries_i,
-    with inv the cached inverse ray matrix :func:`torlog.fans.ray_inverse`.
+    with inv the cached inverse ray matrix :func:`torlog.fans.ray_inverse`,
+    one exact elimination against the identity.
     Raises UnderdeterminedError when the cone is not smooth and
     full-dimensional.  A smooth full-dimensional cone has ray determinant
     +-1, so inv is integral and every integer residue has a lattice

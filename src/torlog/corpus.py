@@ -7,7 +7,8 @@ exact equality without reference outputs:
 * weight families come from per-ray integer data (one integer a_rho per
   ray), solved cone by cone against the ray generators — restrictions to a
   shared face then agree automatically, line by line.  The inverse ray
-  matrix is :func:`torlog.fans.ray_inverse`, cached there; on a unimodular
+  matrix is :func:`torlog.fans.ray_inverse`, one exact elimination against
+  the identity, cached there; on a unimodular
   cone it is integral, and the solve stays in int arithmetic; only a cone
   whose inverse is not integral goes through Fraction, to raise the error
   it always raised;

@@ -4,15 +4,16 @@ Vectors in the cocharacter lattice N and the character lattice M are plain
 integer tuples; the perfect pairing between them is the dot product.  Fans
 are simplicial and rational: every cone is described by the indices of its
 extremal rays, and all geometry (faces, smoothness, completeness) reduces
-to exact integer linear algebra on the ray generators.  Ranks and
-determinants come from one integer elimination, :func:`bareiss`, which
-never leaves the integers, nor does :func:`ray_inverse`, the cached exact
-inverse of a square ray matrix; the invariant factors of a cone that is not
-full-dimensional come from :func:`smith_invariants`.  A fan eliminates each
-ray matrix once (:meth:`Fan.ray_elimination`) and reuses its rank and
-determinant.  :func:`validate_fan` proves the per-cone checks from the
-maximal cones when it can, one elimination each, and enumerates every cone
-only when that proof fails, taking both checks from the same eliminations.
+to exact integer linear algebra on the ray generators.  That algebra is
+the one elimination of :mod:`torlog.linalg`: ranks and determinants come
+from :func:`~torlog.linalg.rank_det`, :func:`ray_inverse` is the cached
+exact inverse of a square ray matrix, eliminated against the identity, and
+a cone that is not full-dimensional is smooth when the gcd of the maximal
+minors of its ray matrix is 1.  A fan eliminates each ray matrix once
+(:meth:`Fan.ray_elimination`) and reuses its rank and determinant.
+:func:`validate_fan` proves the per-cone checks from the maximal cones when
+it can, one elimination each, and enumerates every cone only when that
+proof fails, taking both checks from the same eliminations.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul, sub
+
+from .linalg import canonical, eliminate, minors_gcd, rank_det
 
 IntVec = tuple[int, ...]
 
@@ -139,12 +142,12 @@ class Fan:
         return [self.rays[k] for k in cone.ray_indices]
 
     def ray_elimination(self, cone: Cone) -> tuple[int, int]:
-        """Rank and determinant of the cone's ray matrix: one :func:`bareiss` per matrix and fan."""
+        """Rank and determinant of the cone's ray matrix: one ``rank_det`` per matrix and fan."""
         rows = self.ray_matrix(cone)
         key = tuple(rows)
         done = self._eliminated.get(key)
         if done is None:
-            done = self._eliminated[key] = bareiss(rows)
+            done = self._eliminated[key] = rank_det(rows)
         return done
 
 
@@ -184,138 +187,36 @@ def is_face(tau: Cone, sigma: Cone, fan: Fan) -> bool:
     return set(tau.ray_indices) <= set(sigma.ray_indices)
 
 
-def bareiss(rows) -> tuple[int, int]:
-    """Rank and determinant of an integer matrix by Bareiss's fraction-free elimination.
-
-    Pivots are taken column by column from the first nonzero entry at or
-    below the current row.  Each row below the pivot p is updated entrywise
-    to (p * a - c * b) / p_prev, where c is the row's entry under p, b the
-    pivot row's entry above a, and p_prev the previous pivot (1 at first).
-    After k pivots every entry left below row k is a (k+1)-minor of the
-    input, so by Sylvester's identity the division is exact and no
-    rationals appear (Bareiss, Math. Comp. 22, 1968).  The last pivot of a
-    square matrix of full rank is its determinant up to the sign of the row
-    swaps; the determinant is 0 for a singular or non-square matrix.
-    """
-    work = [list(row) for row in rows]
-    m = len(work)
-    n = len(work[0]) if work else 0
-    rank, prev, sign = 0, 1, 1
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if work[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            work[rank], work[piv] = work[piv], work[rank]
-            sign = -sign
-        pr = work[rank]
-        p = pr[col]
-        for i in range(rank + 1, m):
-            row = work[i]
-            c = row[col]
-            work[i] = [(p * a - c * b) // prev for a, b in zip(row, pr)]
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    det = sign * prev if rank == m == n else 0
-    return rank, det
-
-
 @lru_cache(maxsize=256)
 def ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[int | Fraction, ...], ...]:
     """Exact inverse of a square integer matrix, computed once per matrix.
 
-    Entry (i, j) is the (j, i) cofactor over the determinant, both taken
-    from :func:`bareiss`.  Entries are canonical: an int when integral, else
-    a Fraction, so a unimodular matrix has an all-int inverse.  Raises
+    One :func:`~torlog.linalg.eliminate` against the identity: row i of the
+    matrix times the inverse is e_i, and pivot j's right-hand side is row j
+    of the inverse.  Entries are canonical: an int when integral, else a
+    Fraction, so a unimodular matrix has an all-int inverse.  Raises
     ValueError on a singular or non-square matrix.
     """
     n = len(rays)
-    det = bareiss(rays)[1]
-    if det == 0:
+    solved = eliminate(({j: a for j, a in enumerate(row) if a}, [int(i == k) for k in range(n)])
+                       for i, row in enumerate(rays))
+    if solved is None or len(solved[1]) != n or any(len(row) != n for row in rays):
         raise ValueError("ray matrix is singular")
-
-    def entry(i: int, j: int) -> int | Fraction:
-        minor = [row[:i] + row[i + 1:] for k, row in enumerate(rays) if k != j]
-        c = (-1) ** (i + j) * bareiss(minor)[1]
-        return c // det if c % det == 0 else Fraction(c, det)
-
-    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
-
-
-def smith_invariants(rows) -> list[int]:
-    """Nonzero invariant factors of an integer matrix (Smith normal form)."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    invariants = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero pivot below/right of (top, top)
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if mat[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        mat[top], mat[i0] = mat[i0], mat[top]
-        for row in mat:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            # clear column by euclidean moves
-            done = True
-            for i in range(top + 1, m):
-                if mat[i][top] != 0:
-                    q = mat[i][top] // mat[top][top]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                    if mat[i][top] != 0:
-                        mat[top], mat[i] = mat[i], mat[top]
-                        done = False
-            for j in range(top + 1, n):
-                if mat[top][j] != 0:
-                    q = mat[top][j] // mat[top][top]
-                    for row in mat:
-                        row[j] -= q * row[top]
-                    if mat[top][j] != 0:
-                        for row in mat:
-                            row[top], row[j] = row[j], row[top]
-                        done = False
-            if done:
-                break
-        invariants.append(abs(mat[top][top]))
-        top += 1
-    invariants = [d for d in invariants if d != 0]
-    # enforce the divisibility chain d1 | d2 | ... via gcd/lcm exchanges
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(invariants)):
-            for j in range(i + 1, len(invariants)):
-                if invariants[j] % invariants[i] != 0:
-                    g = gcd(invariants[i], invariants[j])
-                    invariants[i], invariants[j] = g, invariants[i] * invariants[j] // g
-                    changed = True
-    return invariants
+    return tuple(tuple(canonical(x) for x in solved[0][j][1]) for j in range(n))
 
 
 def cone_is_smooth(fan: Fan, cone: Cone) -> bool:
     """True when the ray generators extend to a basis of the lattice.
 
-    Below full dimension that is one invariant factor per generator, each 1:
-    dependent generators have fewer nonzero invariants and extend to no basis.
+    Below full dimension that is the gcd of the k x k minors of the k rays
+    being 1: it is the product of the invariant factors, and 0 when the
+    generators are dependent, which extend to no basis.
     """
     if not cone.ray_indices:
         return True
     if cone.dim == fan.dim:
         return abs(fan.ray_elimination(cone)[1]) == 1
-    invariants = smith_invariants(fan.ray_matrix(cone))
-    return len(invariants) == cone.dim and all(d == 1 for d in invariants)
+    return minors_gcd(fan.ray_matrix(cone)) == 1
 
 
 @dataclass
@@ -332,10 +233,11 @@ class FanCheck:
 def _maximal_cones_unimodular(fan: Fan) -> bool:
     """True when every maximal cone is full-dimensional with ray determinant +-1.
 
-    One :func:`bareiss` per maximal cone, whose determinant is 0 unless the
-    ray matrix is square.  Then every listed cone with distinct rays passes
-    the simplicial and smooth checks: it lies in a maximal cone, and part of
-    a lattice basis is linearly independent and extends to a basis.
+    One :func:`~torlog.linalg.rank_det` per maximal cone, whose determinant
+    is 0 unless the ray matrix is square.  Then every listed cone with
+    distinct rays passes the simplicial and smooth checks: it lies in a
+    maximal cone, and part of a lattice basis is linearly independent and
+    extends to a basis.
     """
     return all(abs(fan.ray_elimination(fan.cones[i])[1]) == 1 for i in fan._maximal)
 
@@ -394,7 +296,7 @@ def validate_fan(fan: Fan) -> list[FanCheck]:
     )
 
     nonsmooth = []
-    if not nonsimp and not unimodular:
+    if not unimodular:
         nonsmooth = [i for i, c in enumerate(fan.cones) if not cone_is_smooth(fan, c)]
     checks.append(
         FanCheck("smooth", "fail" if nonsmooth else "pass",

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundles import EquivariantData
 from .cocycles import (
@@ -82,11 +81,11 @@ from .laurent import (
     _sparse_rows,
     conjugations,
     delta_products,
-    exact,
     in_chart,
     matrix_chart_member,
     vanishing,
 )
+from .linalg import eliminate
 
 DEFAULT_WEIGHT_CAP = 3
 _MAX_WEIGHTS = 4000
@@ -243,13 +242,6 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
     return SplitResult(cochain, cap, depth_used, last_count, truncated)
 
 
-def _exact_div(c: Coeff, p: Coeff) -> Coeff:
-    """c / p in canonical exact form; ``/`` on two ints would give a float."""
-    if type(c) is int and type(p) is int and c % p == 0:
-        return c // p
-    return exact(Fraction(c, p))
-
-
 def _solve_graded(cocycle, data, weights):
     """Solve for g on the root chart s0 = maximal[-1]; None if the system is inconsistent.
 
@@ -271,7 +263,8 @@ def _solve_graded(cocycle, data, weights):
     finds.  Its elimination leaves the highest-numbered unknowns, those of
     the last cone, free; with the root last, the same unknowns are free and
     set to zero here, so the particular solution is almost always the same
-    too (every bundled model; 139 of 140 seeded ladder draws).
+    too (every bundled model; 139 of 140 seeded ladder draws).  The rows go
+    to :func:`~torlog.linalg.eliminate` in sorted key order.
     """
     fan = data.fan
     n = fan.dim
@@ -340,45 +333,11 @@ def _solve_graded(cocycle, data, weights):
                             row_at(key)
                             rhs[key][b] += c
 
-    pivots: dict[int, tuple[dict[int, Coeff], list[Coeff]]] = {}
-    for key in sorted(rows):
-        row = dict(rows[key])
-        vec = list(rhs[key])
-        for var in [x for x in row if x in pivots]:
-            f = row.pop(var)
-            rest, pvec = pivots[var]
-            for v2, c2 in rest.items():
-                nv = row.get(v2, 0) - f * c2
-                if nv:
-                    row[v2] = nv
-                else:
-                    row.pop(v2, None)
-            for b in range(n):
-                vec[b] -= f * pvec[b]
-        if not row:
-            if any(vec):
-                return None  # inconsistent within the graded space
-            continue
-        pivot = min(row)
-        coeff = row.pop(pivot)
-        rest = {v2: _exact_div(c2, coeff) for v2, c2 in row.items()}
-        pvec = [_exact_div(x, coeff) for x in vec]
-        # keep earlier pivot rows clean of the new pivot variable
-        for other, (orest, ovec) in pivots.items():
-            if pivot in orest:
-                f = orest.pop(pivot)
-                for v2, c2 in rest.items():
-                    nv = orest.get(v2, 0) - f * c2
-                    if nv:
-                        orest[v2] = nv
-                    else:
-                        orest.pop(v2, None)
-                for b in range(n):
-                    ovec[b] -= f * pvec[b]
-        pivots[pivot] = (rest, pvec)
-
+    solved = eliminate((rows[key], rhs[key]) for key in sorted(rows))
+    if solved is None:
+        return None  # inconsistent within the graded space
     # free variables are zero, so each pivot value is just its reduced rhs
-    values = {var: pvec for var, (_, pvec) in pivots.items()}
+    values = {var: pvec for var, (_, pvec) in solved[0].items()}
 
     g_root = []
     for b in range(n):

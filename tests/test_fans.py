@@ -11,7 +11,6 @@ from torlog import fans as fans_mod
 from torlog.fans import (
     Cone,
     DimensionError,
-    bareiss,
     build_fan,
     cone_is_smooth,
     downward_closure,
@@ -22,11 +21,11 @@ from torlog.fans import (
     product_p1_fan,
     projective_fan,
     ray_inverse,
-    smith_invariants,
     validate_fan,
     vec_add,
     vec_adder,
 )
+from torlog.linalg import rank_det
 
 
 def checks_by_name(checks):
@@ -139,6 +138,14 @@ class TestValidateFan:
         assert by["simplicial"].status == "fail"
         assert by["complete"].status == "undetermined"
 
+    def test_non_simplicial_cones_are_not_smooth(self):
+        rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]
+        cones = [(), (0,), (1,), (2,), (0, 1), (0, 1, 2), (0, 2), (1, 2)]
+        by = checks_by_name(validate_fan(build_fan(rays, cones)[0]))
+        assert by["simplicial"].detail == "linearly dependent generators in cones [4, 5]"
+        assert by["smooth"].status == "fail"
+        assert by["smooth"].detail == "non-smooth cones [4, 5]"
+
     def test_duplicate_cones(self):
         fan, _ = build_fan([(1,), (-1,)], [(), (0,), (1,), (0,)])
         assert checks_by_name(validate_fan(fan))["distinct_cones"].status == "fail"
@@ -183,11 +190,6 @@ class TestBuildFan:
 
 
 class TestLattice:
-    def test_smith_invariants(self):
-        assert smith_invariants([[1, 0], [1, 2]]) == [1, 2]
-        assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
-        assert smith_invariants([[1, 0, 0], [0, 1, 0]]) == [1, 1]
-
     def test_smooth_lower_dimensional_cone(self):
         fan, _ = build_fan([(3, 5)], [(), (0,)], dim=2)
         assert cone_is_smooth(fan, fan.cones[1])
@@ -199,6 +201,16 @@ class TestLattice:
         fan3, _ = build_fan(
             [(1, 0, 0), (-1, 0, 0)], [(), (0,), (1,), (0, 1)], dim=3)
         assert not cone_is_smooth(fan3, fan3.cones[3])
+        # the 2 x 2 minors of (1,1,0), (0,1,1) are 1, 1 and 1
+        fan4, _ = build_fan(
+            [(1, 1, 0), (0, 1, 1)], [(), (0,), (1,), (0, 1)], dim=3)
+        assert cone_is_smooth(fan4, fan4.cones[3])
+        # the 2 x 2 minors of (2,1,0), (0,1,2) are 2, 4 and 2: gcd 2
+        fan5, _ = build_fan(
+            [(2, 1, 0), (0, 1, 2)], [(), (0,), (1,), (0, 1)], dim=3)
+        assert not cone_is_smooth(fan5, fan5.cones[3])
+        fan6, _ = build_fan([(2, 3, 0)], [(), (0,)], dim=3)
+        assert cone_is_smooth(fan6, fan6.cones[1])
 
     def test_maximal_and_overlap(self):
         fan = product_p1_fan()
@@ -223,7 +235,7 @@ def test_random_fans_have_consistent_maximal_sets():
 
 
 def fraction_rank(rows):
-    """Rank by Gaussian elimination over Fraction, the reference for bareiss."""
+    """Rank by Gaussian elimination over Fraction, the reference for rank_det."""
     work = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     for col in range(len(work[0]) if work else 0):
@@ -266,12 +278,12 @@ def seeded_matrices(seed, count):
 
 
 class TestBareiss:
-    """The one integer elimination behind the simplicial and smooth checks."""
+    """rank_det, the rank and determinant behind the simplicial and smooth checks."""
 
     def test_matches_fraction_rank_and_cofactor_determinant(self):
         squares = 0
         for rows in seeded_matrices(1968, 600):
-            rank, det = bareiss(rows)
+            rank, det = rank_det(rows)
             assert rank == fraction_rank(rows), rows
             if len(rows) == len(rows[0]):
                 squares += 1
@@ -292,11 +304,11 @@ class TestBareiss:
         ([[-7]], 1, -7),
     ])
     def test_small_cases(self, rows, rank, det):
-        assert bareiss(rows) == (rank, det)
+        assert rank_det(rows) == (rank, det)
 
     def test_input_is_not_modified(self):
         rows = [[2, 1], [4, 3]]
-        assert bareiss(rows) == (2, 2)
+        assert rank_det(rows) == (2, 2)
         assert rows == [[2, 1], [4, 3]]
 
 
@@ -376,19 +388,19 @@ class TestChecksFromTheMaximalCones:
                              ids=["P2", "P1xP1", "F1", "F2", "P3"])
     def test_one_elimination_per_maximal_cone(self, fan, monkeypatch):
         calls = []
-        real = fans_mod.bareiss
-        monkeypatch.setattr(fans_mod, "bareiss", lambda rows: calls.append(rows) or real(rows))
-        monkeypatch.setattr(fans_mod, "smith_invariants", lambda rows: calls.append(None))
+        real = fans_mod.rank_det
+        monkeypatch.setattr(fans_mod, "rank_det", lambda rows: calls.append(rows) or real(rows))
+        monkeypatch.setattr(fans_mod, "minors_gcd", lambda rows: calls.append(None))
         assert all(c.ok for c in validate_fan(fan))
         assert calls == [fan.ray_matrix(fan.cones[i]) for i in fan.maximal_cone_indices()]
 
 
 class TestOneEliminationPerRayMatrix:
-    """validate_fan takes rank and determinant from one bareiss per ray matrix, proof or not."""
+    """validate_fan takes rank and determinant from one rank_det per ray matrix, proof or not."""
 
     def eliminations(self, monkeypatch, forced: bool):
         """(checks, eliminated ray matrices) per fixture, the proofs forced to fail if asked."""
-        real = fans_mod.bareiss
+        real = fans_mod.rank_det
         out = []
         with monkeypatch.context() as m:
             if forced:
@@ -396,7 +408,7 @@ class TestOneEliminationPerRayMatrix:
                 m.setattr(fans_mod, "_maximal_faces_listed", lambda fan: False)
             for fan in fan_fixtures():
                 calls = []
-                m.setattr(fans_mod, "bareiss", lambda rows: calls.append(tuple(rows)) or real(rows))
+                m.setattr(fans_mod, "rank_det", lambda rows: calls.append(tuple(rows)) or real(rows))
                 out.append((as_tuples(validate_fan(fan)), calls))
         return out
 
@@ -411,8 +423,8 @@ class TestOneEliminationPerRayMatrix:
 
     def test_the_non_smooth_fixture(self, monkeypatch):
         calls = []
-        real = fans_mod.bareiss
-        monkeypatch.setattr(fans_mod, "bareiss", lambda rows: calls.append(rows) or real(rows))
+        real = fans_mod.rank_det
+        monkeypatch.setattr(fans_mod, "rank_det", lambda rows: calls.append(rows) or real(rows))
         fan = build_fan([(1, 0), (1, 2)], [(), (0,), (1,), (0, 1)])[0]
         by = checks_by_name(validate_fan(fan))
         assert by["simplicial"].ok and by["smooth"].detail == "non-smooth cones [3]"
@@ -450,7 +462,7 @@ def fraction_inverse(rows):
 
 
 class TestRayInverse:
-    """The one dense exact inverse: cofactors over the determinant, both from bareiss."""
+    """The one dense exact inverse: one elimination against the identity."""
 
     def test_matches_fraction_gauss_jordan(self):
         rng = random.Random(1968)
@@ -500,6 +512,20 @@ class TestRayInverse:
     def test_singular_and_non_square_raise(self, rows):
         with pytest.raises(ValueError, match="^ray matrix is singular$"):
             ray_inverse(rows)
+
+    def test_one_elimination_per_uncached_matrix(self, monkeypatch):
+        calls = []
+        real = fans_mod.eliminate
+        monkeypatch.setattr(fans_mod, "eliminate",
+                            lambda system: calls.append(None) or real(system))
+        ray_inverse.cache_clear()
+        rows = ((2, 1, 0), (1, 1, 0), (0, 3, 1))
+        inv = ray_inverse(rows)
+        assert ray_inverse(rows) is inv
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="^ray matrix is singular$"):
+            ray_inverse(((1, 2), (2, 4)))
+        assert len(calls) == 2
 
     def test_repeated_call_returns_the_cached_object(self):
         rows = ((1, 0, 0), (0, 1, 0), (-1, -1, -1))

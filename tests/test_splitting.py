@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from torlog import cocycles as cocycles_mod
+from torlog import linalg as linalg_mod
 from torlog import splitting as splitting_mod
 from torlog.bundles import connection_form
 from torlog.cli import load_model
@@ -30,6 +31,7 @@ from torlog.corpus import (
 )
 from torlog.fans import DimensionError, hirzebruch_fan, product_p1_fan, projective_fan, vec_add
 from torlog.laurent import LaurentMatrix, LaurentPoly, chart_member, matrix_chart_member
+from torlog.linalg import exact_div
 from torlog.splitting import (
     InconsistentSplittingError,
     MatrixCochain,
@@ -320,14 +322,13 @@ class TestExactFastPath:
 
     def test_non_unit_pivots_give_a_verified_splitting(self, monkeypatch):
         quotients = []
-        exact_div = splitting_mod._exact_div
 
         def spy(c, p):
             q = exact_div(c, p)
             quotients.append((c, p, q))
             return q
 
-        monkeypatch.setattr(splitting_mod, "_exact_div", spy)
+        monkeypatch.setattr(linalg_mod, "exact_div", spy)
         td = dressed_draw(projective_fan(2), 3, random.Random(5))
         A = atiyah_cocycle(td)
         result = split_cocycle(A, td)
@@ -423,8 +424,8 @@ def reference_solve(cocycle, data, weights):
             continue
         pivot = min(row)
         coeff = row.pop(pivot)
-        rest = {v2: splitting_mod._exact_div(c2, coeff) for v2, c2 in row.items()}
-        pvec = [splitting_mod._exact_div(x, coeff) for x in vec]
+        rest = {v2: exact_div(c2, coeff) for v2, c2 in row.items()}
+        pvec = [exact_div(x, coeff) for x in vec]
         for orest, ovec in pivots.values():
             if pivot in orest:
                 f = orest.pop(pivot)

@@ -31,3 +31,33 @@ def test_the_scan_sees_nested_and_non_stdlib_imports():
     source = ("import os.path\nfrom . import fans\nfrom .laurent import exact\n"
               "def f():\n    from hypothesis import given\n    import numpy as np\n")
     assert absolute_imports(source) == {"os", "hypothesis", "numpy"}
+
+
+def torlog_imports(source: str) -> set[str]:
+    """Names of the torlog modules one module's source imports, relatively or absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("torlog."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.ImportFrom) and node.module == "torlog":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("torlog."))
+    return names
+
+
+def test_the_linear_algebra_kernel_sits_at_the_bottom_of_the_import_graph():
+    source = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert torlog_imports(source["linalg"]) == set()
+    assert torlog_imports(source["fans"]) == {"linalg"}
+
+
+def test_the_torlog_scan_sees_every_import_form():
+    source = ("import os\nfrom . import fans\nfrom .laurent import exact\nimport torlog.cli\n"
+              "from torlog import bundles\nfrom torlog.corpus import f\n"
+              "def g():\n    from .splitting import h\n")
+    assert torlog_imports(source) == {"fans", "laurent", "cli", "bundles", "corpus", "splitting"}
