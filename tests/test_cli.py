@@ -549,6 +549,23 @@ class TestSplitCommandRunsNoAntisymmetry:
         assert any(v["check"] == "splitting" and v["status"] == "pass" for v in verdicts)
 
 
+class TestSplitCommandRunsNoGaugeLaw:
+    def test_split_lists_the_gauge_law_without_running_it(self, capsys, monkeypatch):
+        calls = []
+        real = splitting.connection_from_splitting
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(splitting, "connection_from_splitting", spy)
+        monkeypatch.setattr(cli, "connection_from_splitting", spy, raising=False)
+        code, out, _ = run_cli(capsys, ["split", str(MODELS / "p2_rank2.json")])
+        assert code == 0
+        assert calls == []
+        gauge = [v for v in json.loads(out)["verdicts"] if v["check"].startswith("gauge_law")]
+        assert len(gauge) == 6 and all(v["status"] == "pass" for v in gauge)
+
+
 def p1_with_entry(poly):
     model = p1_fan_block()
     model["transitions"] = {"1,2": [[poly]]}

@@ -607,6 +607,20 @@ class TestTripleReduction:
         assert check_triple_identity(atiyah_cocycle(td), td) == []
         assert enumerated(atiyah_cocycle(td), td, monkeypatch) == []
 
+    def test_every_pair_changed_in_turn(self, monkeypatch):
+        # the reduction tests T(s, t, r) only for s < t: a change on any pair,
+        # the pairs it never reads included, must still name the same triples
+        for td in self.draws(99):
+            A = atiyah_cocycle(td)
+            E = one_constant(2, td.fan.dim)
+            for pair in td.ordered_pairs():
+                pairs = dict(A.pairs)
+                pairs[pair] = tuple(M + E for M in A.pairs[pair])
+                B = MatrixCocycle(td.fan, td.rank, pairs)
+                checks, decided, full = reduced_and_enumerated(B, td, monkeypatch)
+                assert as_tuples(checks) == as_tuples(full), pair
+                assert not decided and not all(c.ok for c in checks)
+
 
 
 def forced_validation(data, monkeypatch):
@@ -643,6 +657,71 @@ def failing_fixtures():
             [[LaurentPoly(), X((0,) * fan.dim)], [LaurentPoly(), LaurentPoly()]])
         yield one_side
     yield load_model(str(MODELS / "p2_corrupted.json")).transitions
+
+
+def recorded_batches(monkeypatch, run):
+    """The (C, Xs, D, plus, minus) of every vanishing call made by run()."""
+    calls = []
+    real = cocycles_mod.vanishing
+
+    def spy(C, Xs, D=None, plus=(), minus=()):
+        calls.append((C, list(Xs), D, plus, minus))
+        return real(C, Xs, D, plus, minus)
+    with monkeypatch.context() as m:
+        m.setattr(cocycles_mod, "vanishing", spy)
+        assert run()
+    return calls
+
+
+class TestMinimalRootSets:
+    """The root-chart reductions make exactly the zero tests their proofs need."""
+
+    FANS = [(projective_fan(2), 3), (product_p1_fan(), 4), (projective_fan(3), 4)]
+
+    def draw(self, fan, seed):
+        rng = random.Random(seed)
+        data = random_equivariant_data(fan, 2, rng)
+        return dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+
+    def test_root_chart_law_counts(self, monkeypatch):
+        for fan, m in self.FANS:
+            td = self.draw(fan, 101)
+            assert len(td.maximal()) == m
+            calls = recorded_batches(monkeypatch, lambda: root_chart_law(td))
+            transitions = {id(C) for C in td.matrices.values()}
+            tested = [W for _, _, _, _, (Ws,) in calls for W in Ws]
+            law = [W for W in tested if id(W) in transitions]
+            inverse = [W for W in tested if id(W) not in transitions]
+            assert len(calls) == m - 1
+            assert len(inverse) == m - 1
+            assert all(W == LaurentMatrix.identity(2, fan.dim) for W in inverse)
+            assert len(law) == (m - 1) * (m - 2)
+
+    def test_triples_through_root_counts(self, monkeypatch):
+        for fan, m in self.FANS:
+            td = self.draw(fan, 102)
+            A = atiyah_cocycle(td)
+            calls = recorded_batches(monkeypatch, lambda: triples_through_root(A, td))
+            assert len(calls) == (m - 1) * (m - 2) // 2
+
+    def test_one_non_root_transition_replaced(self, monkeypatch):
+        # the root pairs stay exact; the law on the changed pair must still fail
+        for fan, _ in self.FANS:
+            base = self.draw(fan, 103)
+            maximal = base.maximal()
+            E = LaurentMatrix([[LaurentPoly(), X((0,) * fan.dim)], [LaurentPoly(), LaurentPoly()]])
+            for t, s in itertools.permutations(maximal[:-1], 2):
+                for scaled in (False, True):
+                    td = TransitionData(base.fan, base.rank, dict(base.matrices))
+                    if scaled:  # the inverse pairing still holds on (s, t)
+                        td.matrices[(t, s)] = base.pair(t, s).scale(3)
+                        td.matrices[(s, t)] = base.pair(s, t).scale("1/3")
+                    else:
+                        td.matrices[(t, s)] = base.pair(t, s) + E
+                    assert not root_chart_law(td), (t, s, scaled)
+                    checks = validate_transitions(td)
+                    assert as_tuples(checks) == as_tuples(forced_validation(td, monkeypatch))
+                    assert not checks_by_name(checks)["cocycle_law"].ok
 
 
 class TestDeterminantsFromTheGate:

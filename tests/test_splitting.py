@@ -40,6 +40,7 @@ from torlog.splitting import (
     connection_from_splitting,
     equivariance_verdict,
     equivariant_splitting,
+    gauge_passes,
     split_cocycle,
     verify_splitting,
     weight_cap,
@@ -661,6 +662,23 @@ class TestOneCertificate:
                 assert checks[-1].ok and result.found, (fan.dim, rank)
                 _, gauge = connection_from_splitting(result.cochain, td)
                 assert len(gauge) == len(td.matrices) and all(c.ok for c in gauge)
+
+    def test_listed_gauge_checks_match_the_run_law(self):
+        # the split command lists gauge_passes; it must be what the law returns
+        rng = random.Random(323)
+        draws = [dressed_draw(fan, rank, rng) for fan in ladder_fans() for rank in (1, 2)]
+        models = [load_model(str(path)) for path in sorted(MODELS.glob("*.json"))]
+        draws += [model.transitions for model in models if model.transitions is not None]
+        found = 0
+        for td in draws:
+            if not all(c.ok for c in validate_transitions(td)):
+                continue
+            result = split_cocycle(atiyah_cocycle(td), td, antisymmetry=[])
+            if result.found:
+                found += 1
+                _, gauge = connection_from_splitting(result.cochain, td)
+                assert as_tuples(gauge_passes(td)) == as_tuples(gauge)
+        assert found == len(draws) - 1  # every draw and model but p2_corrupted splits
 
     def test_perturbed_cochains_agree(self):
         rng = random.Random(322)
