@@ -105,7 +105,8 @@ class TransitionData:
         return self.matrices[(s, t)]
 
     def maximal(self) -> list[int]:
-        return sorted({i for pair in self.matrices for i in pair})
+        """The charts: the fan's maximal cones, whether or not a transition names them."""
+        return self.fan.maximal_cone_indices()
 
     def ordered_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.matrices)

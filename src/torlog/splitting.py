@@ -21,14 +21,17 @@ The conditions are homogeneous with respect to the character grading, so
 the solver works weight by weight: the entries of g_{s0} are supported on a
 finite set of weights seeded by the cocycle and closed under the shifts
 induced by conjugation with the transition entries.  The closure depth is
-capped (TORLOG_WEIGHT_CAP, default 3) and the search deepens one level at
-a time, so easy instances stay tiny.  A closure that grows past
-_MAX_WEIGHTS weights stops there; ``SplitResult.truncated`` records that the
-limit, not the cap or saturation, ended the search, and the miss reports
-say so.  A returned splitting is always re-verified against the defining
-equation, independently of the solve: one exact zero test of
-C_st g_t C_ts - g_s - A_st per ordered pair (``laurent.vanishing``); "not
-found" only means: nothing in the searched graded space.
+capped (TORLOG_WEIGHT_CAP, default 3).  Depth 0 solves over the seed alone;
+each further depth adds one level, the last level's weights moved by every
+shift less the weights already held, and solves over the whole set again,
+so easy instances stay tiny and cap c builds c levels.  The search stops
+early when a level adds nothing (saturated), or before the next level once
+one has taken the set past _MAX_WEIGHTS weights; ``SplitResult.truncated``
+records that the limit, not the cap or saturation, ended the search, and
+the miss reports say so.  A returned splitting is always re-verified
+against the defining equation, independently of the solve: one exact zero
+test of C_st g_t C_ts - g_s - A_st per ordered pair (``laurent.vanishing``);
+"not found" only means: nothing in the searched graded space.
 
 :func:`equivariance_verdict` validates the transitions first and has one
 certificate, that re-verification plus chart-ring membership of each
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 
 from .bundles import EquivariantData
 from .cocycles import (
@@ -114,7 +118,7 @@ class SplitResult:
     weight_cap: int
     closure_depth: int
     weights_searched: int
-    truncated: bool = False  # the weight closure stopped at _MAX_WEIGHTS with levels left
+    truncated: bool = False  # a level passed _MAX_WEIGHTS and the cap allowed more levels
 
     @property
     def found(self) -> bool:
@@ -152,14 +156,17 @@ def weight_cap(cap=None) -> int:
         raise WeightCapError(f"TORLOG_WEIGHT_CAP must be an integer, got {raw!r}") from None
 
 
+def _exponents(M: LaurentMatrix) -> set:
+    """Every exponent of a matrix's entries."""
+    return {e for row in M.entries for f in row for e in f.terms}
+
+
 def _seed(cocycle: MatrixCocycle, data: TransitionData) -> set:
     """The depth-0 weights: zero and every exponent of the cocycle."""
     seed = {(0,) * data.fan.dim}
     for mats in cocycle.pairs.values():
         for M in mats:
-            for row in M.entries:
-                for f in row:
-                    seed.update(f.terms)
+            seed |= _exponents(M)
     return seed
 
 
@@ -167,41 +174,12 @@ def _shifts(data: TransitionData) -> set:
     """The nonzero weight shifts of conjugation: ±(e1 + e2) over the exponents of C_st and C_ts."""
     shifts = set()
     for (s, t), C in data.matrices.items():
-        if s > t:
-            continue
-        D = data.matrices[(t, s)]
-        exps_c = {e for row in C.entries for f in row for e in f.terms}
-        exps_d = {e for row in D.entries for f in row for e in f.terms}
-        for e1 in exps_c:
-            for e2 in exps_d:
-                shifts.add(vec_add(e1, e2))
+        if s < t:
+            exps_d = _exponents(data.matrices[(t, s)])
+            shifts |= {vec_add(e1, e2) for e1 in _exponents(C) for e2 in exps_d}
     shifts |= {vec_neg(d) for d in shifts}
     shifts.discard((0,) * data.fan.dim)
     return shifts
-
-
-def _close_weights(seed, shifts, depth):
-    """The weights within ``depth`` shifts of the seed, and whether the cap cut them.
-
-    The closure stops after a level that takes it past _MAX_WEIGHTS; it is
-    truncated when levels up to ``depth`` were left unbuilt.
-    """
-    weights = set(seed)
-    frontier = set(seed)
-    for level in range(1, depth + 1):
-        new = set()
-        for w in frontier:
-            for d in shifts:
-                x = vec_add(w, d)
-                if x not in weights:
-                    new.add(x)
-        if not new:
-            break
-        weights |= new
-        frontier = new
-        if len(weights) > _MAX_WEIGHTS:
-            return weights, level < depth
-    return weights, False
 
 
 def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
@@ -221,30 +199,38 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
     if bad:
         raise ValueError(f"cocycle is not frame-antisymmetric on {bad[0]}; refusing to split")
 
-    seed = _seed(cocycle, data)
-    shifts = ()  # depth 0 is the seed alone; the shifts are built when the search deepens
-    last_count = 0
+    vadd = vec_adder(data.fan.dim)
+    weights = frontier = _seed(cocycle, data) if cap >= 0 else set()
     cochain = None
     depth_used = 0
     truncated = False
     for depth in range(cap + 1):
-        if depth == 1:
-            shifts = _shifts(data)
-        weights, truncated = _close_weights(seed, shifts, depth)
-        if depth > 0 and len(weights) == last_count:
-            break  # closure is saturated or cut at the same level; deeper passes repeat it
-        last_count = len(weights)
+        if depth:
+            if depth > 1 and len(weights) > _MAX_WEIGHTS:
+                truncated = True  # the last level passed the limit with levels left
+                break
+            if depth == 1:
+                shifts = _shifts(data)  # depth 0 is the seed alone
+            frontier = {vadd(w, d) for w in frontier for d in shifts} - weights
+            if not frontier:
+                break  # saturated: deeper levels add nothing
+            weights |= frontier
         depth_used = depth
         cochain = _solve_graded(cocycle, data, sorted(weights))
         if cochain is not None:
             cochain = _require_splitting(cochain, cocycle, data)
         if cochain is not None:
             break
-    return SplitResult(cochain, cap, depth_used, last_count, truncated)
+    return SplitResult(cochain, cap, depth_used, len(weights), truncated)
 
 
 def _solve_graded(cocycle, data, weights):
     """Solve for g on the root chart s0 = maximal[-1]; None if the system is inconsistent.
+
+    Three phases: :func:`_graded_system` builds the rows,
+    :func:`~torlog.linalg.eliminate` reduces them in sorted key order, and
+    :func:`_assemble` reads g_{s0} off the pivots and conjugates it into
+    every other chart.
 
     The unknowns are the entries of g_{s0} at the weights of W in chart(s0).
     The equation on (t, s0) defines g_t = C_{t s0} g_{s0} C_{s0 t} - A_{t s0},
@@ -264,8 +250,20 @@ def _solve_graded(cocycle, data, weights):
     finds.  Its elimination leaves the highest-numbered unknowns, those of
     the last cone, free; with the root last, the same unknowns are free and
     set to zero here, so the particular solution is almost always the same
-    too (every bundled model; 139 of 140 seeded ladder draws).  The rows go
-    to :func:`~torlog.linalg.eliminate` in sorted key order.
+    too (every bundled model; 139 of 140 seeded ladder draws).
+    """
+    unknowns, rows = _graded_system(cocycle, data, weights)
+    solved = eliminate(rows)
+    if solved is None:
+        return None  # inconsistent within the graded space
+    return _assemble(cocycle, data, unknowns, solved[0])
+
+
+def _graded_system(cocycle, data, weights):
+    """The unknowns (i, j, w) of g_{s0} in index order, and the (row, rhs) pairs in key order.
+
+    A row is keyed (t, p, q, m): the coefficient of g_t[p][q] at an exponent
+    m outside chart(t), with one right-hand column per basis vector.
     """
     fan = data.fan
     n = fan.dim
@@ -275,25 +273,11 @@ def _solve_graded(cocycle, data, weights):
     root = maximal[-1]
     root_rays = fan.ray_matrix(fan.cones[root])
     root_weights = [w for w in weights if in_chart(w, root_rays)]
-
-    var_of = {}
-    for i in range(r):
-        for j in range(r):
-            for w in root_weights:
-                var_of[(i, j, w)] = len(var_of)
-
-    rows: dict[tuple, dict[int, Coeff]] = {}
-    rhs: dict[tuple, list[Coeff]] = {}
-
-    def row_at(key):
-        if key not in rows:
-            rows[key] = {}
-            rhs[key] = [0] * n
-        return rows[key]
+    unknowns = list(product(range(r), range(r), root_weights))
+    var_of = {u: var for var, u in enumerate(unknowns)}
+    system: dict[tuple, tuple[dict[int, Coeff], list[Coeff]]] = {}
 
     for t in maximal[:-1]:
-        C = data.pair(t, root)
-        D = data.pair(root, t)
         rays = fan.ray_matrix(fan.cones[t])
         outside: dict[IntVec, bool] = {}
 
@@ -306,8 +290,8 @@ def _solve_graded(cocycle, data, weights):
         # g_{s0} conjugated into chart t: a term pair of C_{t s0}[p][k] and C_{s0 t}[l][q]
         # carries unknown (k, l, w) to entry (p, q) at e1 + e2 + w; only exponents
         # outside chart(t) give rows
-        right = _sparse_rows(D)
-        for p, terms in enumerate(_sparse_rows(C)):
+        right = _sparse_rows(data.pair(root, t))
+        for p, terms in enumerate(_sparse_rows(data.pair(t, root))):
             for k, e1, c1 in terms:
                 for l in range(r):
                     for q, e2, c2 in right[l]:
@@ -317,51 +301,39 @@ def _solve_graded(cocycle, data, weights):
                             if not off_chart(m):
                                 continue
                             var = var_of[(k, l, w)]
-                            row = row_at((t, p, q, m))
+                            row = system.setdefault((t, p, q, m), ({}, [0] * n))[0]
                             nv = row.get(var, 0) + c
                             if nv:
                                 row[var] = nv
                             else:
                                 row.pop(var, None)
         # right-hand side: A_{t s0}, one column per basis vector
-        for b in range(n):
-            A = cocycle.pairs[(t, root)][b]
+        for b, A in enumerate(cocycle.pairs[(t, root)]):
             for p in range(r):
                 for q in range(r):
                     for m, c in A.entries[p][q].terms.items():
                         if off_chart(m):
-                            key = (t, p, q, m)
-                            row_at(key)
-                            rhs[key][b] += c
+                            system.setdefault((t, p, q, m), ({}, [0] * n))[1][b] += c
+    return unknowns, [system[key] for key in sorted(system)]
 
-    solved = eliminate((rows[key], rhs[key]) for key in sorted(rows))
-    if solved is None:
-        return None  # inconsistent within the graded space
-    # free variables are zero, so each pivot value is just its reduced rhs
-    values = {var: pvec for var, (_, pvec) in solved[0].items()}
 
-    g_root = []
-    for b in range(n):
-        rows_out = []
-        for i in range(r):
-            row_out = []
-            for j in range(r):
-                terms = {}
-                for w in root_weights:
-                    var = var_of[(i, j, w)]
-                    if var in values and values[var][b] != 0:
-                        terms[w] = values[var][b]
-                row_out.append(LaurentPoly(terms))
-            rows_out.append(row_out)
-        g_root.append(LaurentMatrix(rows_out))
-
-    cones = {}
-    for t in maximal[:-1]:
-        C = data.pair(t, root)
-        D = data.pair(root, t)
-        cones[t] = conjugations(C, g_root, D, [-A for A in cocycle.pairs[(t, root)]])
-    cones[root] = tuple(g_root)
-    return MatrixCochain(fan, r, cones)
+def _assemble(cocycle, data, unknowns, pivots):
+    """The cochain whose g_{s0} takes each pivot's value (free unknowns zero) and g_t from it."""
+    n, r = data.fan.dim, data.rank
+    terms = [[[{} for _ in range(r)] for _ in range(r)] for _ in range(n)]
+    for var, (i, j, w) in enumerate(unknowns):
+        if var in pivots:
+            for b, c in enumerate(pivots[var][1]):
+                if c != 0:
+                    terms[b][i][j][w] = c
+    g_root = tuple(LaurentMatrix([[LaurentPoly(f) for f in row] for row in mat]) for mat in terms)
+    maximal = data.maximal()
+    root = maximal[-1]
+    cones = {t: conjugations(data.pair(t, root), g_root, data.pair(root, t),
+                             [-A for A in cocycle.pairs[(t, root)]])
+             for t in maximal[:-1]}
+    cones[root] = g_root
+    return MatrixCochain(data.fan, r, cones)
 
 
 def _full_length(cochain: MatrixCochain, n: int) -> bool:

@@ -413,6 +413,60 @@ class TestEquivarianceValidates:
         assert verdicts[-1]["detail"].startswith("transitions fail validation")
 
 
+class TestChartsComeFromTheFan:
+    """A chart that no transitions key names is still a chart: its pairs are missing."""
+
+    @pytest.mark.parametrize("command", ["validate", "cocycle", "split", "theorem-ab",
+                                         "equivariance"])
+    def test_one_pair_of_three_charts_exits_one(self, capsys, tmp_path, command):
+        model = json.loads((MODELS / "p2_o2.json").read_text(encoding="utf-8"))
+        del model["bundle"]
+        model["transitions"] = {"4,5": model["transitions"]["4,5"]}
+        code, out, _ = run_cli(capsys, [command, write_model(tmp_path, model)])
+        assert code == 1
+        failed = [v for v in json.loads(out)["verdicts"] if v["status"] == "fail"]
+        assert (failed[0]["check"], failed[0]["detail"]) == (
+            "transitions_present", "missing ordered pairs [(4, 6), (5, 6), (6, 4), (6, 5)]")
+        assert all(v["status"] != "pass" for v in json.loads(out)["verdicts"]
+                   if v["check"] == "equivariance")
+
+
+def p1_bundle_model(**changes):
+    model = p1_fan_block()
+    model["bundle"] = {"rank": 1, "weights": {"1": [[0]], "2": [[1]]}}
+    model["transitions"] = {"1,2": [[[{"exponent": [-1], "num": 1, "den": 1}]]]}
+    model.update(changes)
+    return model
+
+
+class TestBlockKeyErrors:
+    """Malformed keys of the bundle and transitions blocks: the exit code and the message."""
+
+    one = [[[{"exponent": [0], "num": 1, "den": 1}]]]
+
+    @pytest.mark.parametrize("command", ["validate", "equivariance"])
+    @pytest.mark.parametrize("change, code, message", [
+        ({"bundle": {"rank": 1, "weights": {"x": [[0]]}}}, 2,
+         "bundle.weights key 'x' is not a cone id"),
+        ({"bundle": {"rank": 1, "weights": {"1": [[0]], "7": [[0]]}}}, 3,
+         "bundle.weights references missing cone 7"),
+        ({"transitions": {"1,a": one}}, 2, "transitions key '1,a' must name two cone ids"),
+        ({"transitions": {"1,9": one}}, 3, "transitions key '1,9' references a missing cone"),
+        ({"transitions": {"1,2": one, "2,1": [[[], []], [[], []]]}}, 3,
+         "transitions[2,1] has size 2, other blocks use rank 1"),
+    ], ids=["weights-key-not-int", "weights-missing-cone", "transitions-key-not-int",
+            "transitions-missing-cone", "transitions-size-disagrees"])
+    def test_exit_code_and_message(self, capsys, tmp_path, command, change, code, message):
+        got, out, err = run_cli(capsys, [command, write_model(tmp_path, p1_bundle_model(**change))])
+        assert got == code
+        if code == 2:
+            assert (out, err) == ("", f"torlog: {message}\n")
+        else:
+            assert err == ""
+            assert json.loads(out) == {"artifacts": {}, "command": command, "verdicts": [
+                {"check": "model", "detail": message, "status": "fail"}]}
+
+
 # (model, command) -> (exit code, sha256 of the report, or None when none is
 # written) for every call over models/.  A change meant to alter a report
 # updates its line here.

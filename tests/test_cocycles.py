@@ -96,9 +96,14 @@ class TestValidateTransitions:
 
     def test_chart_violation_located(self):
         fan = projective_fan(2)
-        # cones 4 and 5 share ray 0 = e1; a negative e1-exponent is illegal
+        # cones 4 and 5 share ray 0 = e1; a negative e1-exponent is illegal.
+        # C_st = chi^(m_s - m_t) with m_4 = m_6 = 0 and m_5 = (1, 0)
         mats = {(4, 5): LaurentMatrix([[X((-1, 0))]]),
-                (5, 4): LaurentMatrix([[X((1, 0))]])}
+                (5, 4): LaurentMatrix([[X((1, 0))]]),
+                (4, 6): LaurentMatrix([[X((0, 0))]]),
+                (6, 4): LaurentMatrix([[X((0, 0))]]),
+                (5, 6): LaurentMatrix([[X((1, 0))]]),
+                (6, 5): LaurentMatrix([[X((-1, 0))]])}
         by = checks_by_name(validate_transitions(TransitionData(fan, 1, mats)))
         assert not by["chart_membership"].ok
         assert "(4, 5)" in by["chart_membership"].detail
@@ -636,7 +641,11 @@ def failing_fixtures():
     yield TransitionData(fan, 1, {(1, 2): LaurentMatrix([[X((-1,))]])})
     fan = projective_fan(2)
     yield TransitionData(fan, 1, {(4, 5): LaurentMatrix([[X((-1, 0))]]),
-                                  (5, 4): LaurentMatrix([[X((1, 0))]])})
+                                  (5, 4): LaurentMatrix([[X((1, 0))]]),
+                                  (4, 6): LaurentMatrix([[X((0, 0))]]),
+                                  (6, 4): LaurentMatrix([[X((0, 0))]]),
+                                  (5, 6): LaurentMatrix([[X((1, 0))]]),
+                                  (6, 5): LaurentMatrix([[X((-1, 0))]])})
     yield TransitionData(projective_fan(1), 1, {
         (1, 2): LaurentMatrix([[const(1) + X((1,))]]), (2, 1): LaurentMatrix([[const(1)]])})
     td = diagonal_transitions(line_bundle_data(projective_fan(2), 1))

@@ -47,6 +47,30 @@ def test_sweep_line_bundles_reports_a_malformed_cap_as_a_usage_error(monkeypatch
     assert proc.returncode == 0, proc.stderr
 
 
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps the line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        # a comment-only line
+        text = """a string,
+not a docstring"""
+        return text
+''', encoding="utf-8")
+    proc = run_script("code_lines.py", str(module))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "mod.py", "6", "total"]
+
+
 def test_benchmark_gates_pass_on_every_workload():
     """A half-second run of each perfbench workload: every item passes its exact output gate."""
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",

@@ -958,3 +958,119 @@ class TestShiftsOnlyPastDepthZero:
         builds.clear()
         assert split_cocycle(cocycle, td, cap=0).weights_searched == 3
         assert builds == []
+
+
+def reference_closure(seed, shifts, depth):
+    """The weights within ``depth`` shifts of the seed, rebuilt from the seed, and whether the cap cut them.
+
+    The closure the search used before it grew one level per depth: it stops
+    after a level that takes it past _MAX_WEIGHTS, and is truncated when
+    levels up to ``depth`` were left unbuilt.
+    """
+    weights = set(seed)
+    frontier = set(seed)
+    for level in range(1, depth + 1):
+        new = set()
+        for w in frontier:
+            for d in shifts:
+                x = vec_add(w, d)
+                if x not in weights:
+                    new.add(x)
+        if not new:
+            break
+        weights |= new
+        frontier = new
+        if len(weights) > splitting_mod._MAX_WEIGHTS:
+            return weights, level < depth
+    return weights, False
+
+
+def reference_search(cocycle, td, cap):
+    """The search over reference_closure: (found, depth, weights, truncated) and the sets it solved."""
+    seed = splitting_mod._seed(cocycle, td)
+    shifts = splitting_mod._shifts(td)
+    last_count, depth_used, truncated, solved = 0, 0, False, []
+    cochain = None
+    for depth in range(cap + 1):
+        weights, truncated = reference_closure(seed, shifts if depth else (), depth)
+        if depth > 0 and len(weights) == last_count:
+            break
+        last_count, depth_used = len(weights), depth
+        solved.append(sorted(weights))
+        cochain = splitting_mod._solve_graded(cocycle, td, sorted(weights))
+        if cochain is not None:
+            cochain = splitting_mod._require_splitting(cochain, cocycle, td)
+        if cochain is not None:
+            break
+    return (cochain is not None, depth_used, last_count, truncated), solved
+
+
+def outcome(result):
+    return result.found, result.closure_depth, result.weights_searched, result.truncated
+
+
+def antisymmetric_perturbation(td, E):
+    """atiyah_cocycle with E added on the first ordered pair (s, t) and C_ts E C_st taken from (t, s)."""
+    A = atiyah_cocycle(td)
+    s, t = td.ordered_pairs()[0]
+    pairs = dict(A.pairs)
+    pairs[(s, t)] = tuple(M + E for M in A.pairs[(s, t)])
+    pairs[(t, s)] = tuple(M - td.pair(t, s) * E * td.pair(s, t) for M in A.pairs[(t, s)])
+    return MatrixCocycle(A.fan, A.rank, pairs)
+
+
+def closure_cases():
+    """Antisymmetric cocycles that no depth-0 solve splits: they grow, saturate or get cut."""
+    yield unsplittable_cocycle()
+    off = LaurentMatrix([[LaurentPoly(), X((-1,))], [LaurentPoly(), LaurentPoly()]])
+    for seed in (101, 111):  # closures of 5, 26, 44, ... and 5, 17, 29, ... weights
+        td = dressed_draw(projective_fan(1), 2, random.Random(seed))
+        yield antisymmetric_perturbation(td, off), td
+    td = dressed_draw(projective_fan(2), 2, random.Random(104))  # 6, 44, 113, ... weights
+    yield antisymmetric_perturbation(td, LaurentMatrix(
+        [[LaurentPoly(), X((-1, 0))], [LaurentPoly(), LaurentPoly()]])), td
+    td = diagonal_transitions(line_bundle_data(projective_fan(2), 1))  # rank 1: no shifts
+    yield antisymmetric_perturbation(td, LaurentMatrix([[X((-1, 0))]])), td
+
+
+class TestOneLevelPerDepth:
+    """The closure grown one level per depth against the closure rebuilt from the seed at each depth."""
+
+    LIMITS = (1, 6, 40, 4000)
+
+    def test_outcomes_match_the_rebuilt_closure(self, monkeypatch):
+        builds = count_shift_builds(monkeypatch)
+        for cocycle, td in closure_cases():
+            for limit in self.LIMITS:
+                monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", limit)
+                for cap in range(7):
+                    builds.clear()
+                    ours = outcome(split_cocycle(cocycle, td, cap=cap))
+                    assert len(builds) <= 1
+                    assert ours == reference_search(cocycle, td, cap)[0], (limit, cap)
+
+    def test_every_solve_sees_the_rebuilt_weights(self, monkeypatch):
+        # the limits also sit exactly at each level's size, where the search must go on
+        solved = []
+        monkeypatch.setattr(splitting_mod, "_solve_graded",
+                            lambda cocycle, td, weights: solved.append(list(weights)))
+        for cocycle, td in closure_cases():
+            monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", 4000)
+            _, levels = reference_search(cocycle, td, 6)
+            for limit in sorted(set(self.LIMITS) | {len(w) for w in levels}):
+                monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", limit)
+                for cap in range(-1, 7):
+                    expected, sets = reference_search(cocycle, td, cap)
+                    solved.clear()
+                    ours = outcome(split_cocycle(cocycle, td, cap=cap))
+                    assert (ours, solved) == (expected, sets), (limit, cap)
+
+    def test_levels_of_the_unsplittable_cocycle(self, monkeypatch):
+        # 3, 7, 11, ... weights: the search stops past the limit, saturates never
+        cocycle, td = unsplittable_cocycle()
+        monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", 7)
+        assert outcome(split_cocycle(cocycle, td, cap=6)) == (False, 2, 11, True)
+        monkeypatch.setattr(splitting_mod, "_MAX_WEIGHTS", 1)
+        assert outcome(split_cocycle(cocycle, td, cap=6)) == (False, 1, 7, True)
+        assert outcome(split_cocycle(cocycle, td, cap=1)) == (False, 1, 7, False)
+        assert outcome(split_cocycle(cocycle, td, cap=-1)) == (False, 0, 0, False)
