@@ -12,6 +12,9 @@ the module derives:
 * the piecewise-polynomial equivariant Chern classes with their
   continuity check across shared faces.
 
+Both face checks read the weights restricted to the shared face of two
+charts, each weight becoming its pairings with the face's ray generators.
+
 Everything is exact; weights are integer vectors in M and Chern data are
 integer polynomials in the coordinates of N.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .fans import DimensionError, Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
-from .laurent import LaurentPoly, chart_member, delta_apply
+from .laurent import LaurentMatrix, LaurentPoly, chart_member, delta_apply
 
 
 class UnderdeterminedError(ValueError):
@@ -71,30 +74,39 @@ class EquivariantData:
         return self.weights[cone_index]
 
 
-def check_compatibility(data: EquivariantData) -> list[FanCheck]:
-    """Face condition on weight multisets, pairwise over maximal cones.
+def _face_restrictions(data: EquivariantData):
+    """(s, t, face, restr_s, restr_t) for each pair s < t of maximal cones.
 
-    For the shared face tau of two maximal cones, each weight restricts to
-    the tuple of its pairings with the ray generators of tau; the two
-    multisets of restricted tuples must coincide.  The zero cone restricts
-    everything to the empty tuple, so disjoint charts are always fine.
+    On the shared face, weight m restricts to the tuple of its pairings with
+    the face's ray generators; restr_s and restr_t keep the stored order.
+    The zero cone restricts every weight to the empty tuple.
     """
     fan = data.fan
     maximal = sorted(data.weights)
-    checks = []
-    for a in range(len(maximal)):
-        for b in range(a + 1, len(maximal)):
-            s, t = maximal[a], maximal[b]
-            face_idx = fan.overlap_index(s, t)
-            face = fan.cones[face_idx]
+    for a, s in enumerate(maximal):
+        for t in maximal[a + 1:]:
+            face = fan.cones[fan.overlap_index(s, t)]
             rays = [fan.rays[k] for k in face.ray_indices]
-            restr_s = sorted(tuple(pairing(m, u) for u in rays) for m in data.weights[s])
-            restr_t = sorted(tuple(pairing(m, u) for u in rays) for m in data.weights[t])
-            ok = restr_s == restr_t
-            detail = f"cones ({s},{t}), face rays {face.ray_indices}"
-            if not ok:
-                detail += f": restrictions differ, {restr_s} vs {restr_t}"
-            checks.append(FanCheck(f"compatibility[{s},{t}]", "pass" if ok else "fail", detail))
+            restr_s, restr_t = ([tuple(pairing(m, u) for u in rays) for m in data.weights[c]]
+                                for c in (s, t))
+            yield s, t, face, restr_s, restr_t
+
+
+def check_compatibility(data: EquivariantData) -> list[FanCheck]:
+    """Face condition on weight multisets, pairwise over maximal cones.
+
+    For the shared face tau of two maximal cones, the two multisets of
+    weights restricted to tau must coincide, so disjoint charts are always
+    fine.
+    """
+    checks = []
+    for s, t, face, restr_s, restr_t in _face_restrictions(data):
+        restr_s, restr_t = sorted(restr_s), sorted(restr_t)
+        ok = restr_s == restr_t
+        detail = f"cones ({s},{t}), face rays {face.ray_indices}"
+        if not ok:
+            detail += f": restrictions differ, {restr_s} vs {restr_t}"
+        checks.append(FanCheck(f"compatibility[{s},{t}]", "pass" if ok else "fail", detail))
     return checks
 
 
@@ -177,8 +189,6 @@ class ConnectionForm:
 
     def basis_matrices(self):
         """Constant diagonal matrices at the lattice basis vectors, as Laurent data."""
-        from .laurent import LaurentMatrix
-
         n = self.dim
         mats = []
         for b in range(n):
@@ -275,31 +285,6 @@ class IntPoly(LaurentPoly):
             total += term
         return total
 
-    def substitute_linear(self, vectors: list[IntVec]) -> "IntPoly":
-        """Restrict to the span of the given vectors: v = sum_j t_j * vectors[j].
-
-        Returns a polynomial in the formal variables t_j.  With no vectors
-        this evaluates at the origin.
-        """
-        k = len(vectors)
-        if not self.terms:
-            return IntPoly()
-        nvars = len(next(iter(self.terms)))
-        # coordinate i of v becomes the linear form sum_j vectors[j][i] t_j
-        coord = [
-            IntPoly({tuple(1 if q == j else 0 for q in range(k)): vectors[j][i]
-                     for j in range(k) if vectors[j][i] != 0})
-            for i in range(nvars)
-        ]
-        total = IntPoly()
-        for exp, c in self.terms.items():
-            term = IntPoly.constant(c, k)
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    term = term * coord[i]
-            total = total + term
-        return total
-
 
 def _int_poly(terms: dict) -> IntPoly:
     """Wrap a term map that is already canonical."""
@@ -329,11 +314,12 @@ def chern_pp(data: EquivariantData):
     """Elementary-symmetric Chern data per cone, plus the continuity report.
 
     Returns (polys, checks) where polys[i-1] holds c_i and the checks
-    compare adjacent cones on the span of their shared face by formal
-    substitution of the face's ray generators.
+    compare adjacent cones on the span of their shared face.  Writing a
+    point of that span as sum_k t_k v_k over the face's rays v_k, c_i is
+    e_i of the linear forms sum_k <m_j, v_k> t_k, so each check compares
+    e_1 .. e_rank of the weights restricted to the face.
     """
-    fan = data.fan
-    n = fan.dim
+    n = data.fan.dim
     maximal = sorted(data.weights)
     upto = data.rank
     per_cone = {}
@@ -345,23 +331,15 @@ def chern_pp(data: EquivariantData):
     ]
 
     checks = []
-    for a in range(len(maximal)):
-        for b in range(a + 1, len(maximal)):
-            s, t = maximal[a], maximal[b]
-            face = fan.cones[fan.overlap_index(s, t)]
-            rays = [fan.rays[k] for k in face.ray_indices]
-            ok = True
-            bad = []
-            for i in range(1, upto + 1):
-                ps = per_cone[s][i].substitute_linear(rays)
-                pt = per_cone[t][i].substitute_linear(rays)
-                if ps != pt:
-                    ok = False
-                    bad.append(i)
-            detail = f"cones ({s},{t}), face rays {face.ray_indices}"
-            if not ok:
-                detail += f": degrees {bad} disagree on the shared span"
-            checks.append(FanCheck(f"chern_continuity[{s},{t}]", "pass" if ok else "fail", detail))
+    for s, t, face, restr_s, restr_t in _face_restrictions(data):
+        k = len(face.ray_indices)
+        es_s, es_t = (elementary_symmetric([IntPoly.linear_form(r) for r in restr], upto, k)
+                      for restr in (restr_s, restr_t))
+        bad = [i for i in range(1, upto + 1) if es_s[i] != es_t[i]]
+        detail = f"cones ({s},{t}), face rays {face.ray_indices}"
+        if bad:
+            detail += f": degrees {bad} disagree on the shared span"
+        checks.append(FanCheck(f"chern_continuity[{s},{t}]", "fail" if bad else "pass", detail))
     return polys, checks
 
 

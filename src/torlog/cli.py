@@ -47,7 +47,7 @@ from .laurent import (
     _poly,
     exact,
 )
-from .reports import Report, cochain_payload, cocycle_payload, emit, int_poly_payload
+from .reports import Report, cochain_payload, cocycle_payload, emit, poly_payload
 from .splitting import (
     WeightCapError,
     equivariance_verdict,
@@ -334,7 +334,7 @@ def _run_chern(model: ModelFile, rep: Report) -> None:
         for k in model.fan.cones[ci].ray_indices:
             rep.verdicts.append(residue_chern_check(data, ci, k))
     rep.artifacts["chern"] = {
-        str(p.degree): {str(ci): int_poly_payload(q) for ci, q in sorted(p.parts.items())}
+        str(p.degree): {str(ci): poly_payload(q) for ci, q in sorted(p.parts.items())}
         for p in polys
     }
 

@@ -8,10 +8,9 @@ exact equality without reference outputs:
   ray), solved cone by cone against the ray generators — restrictions to a
   shared face then agree automatically, line by line.  The inverse ray
   matrix is :func:`torlog.fans.ray_inverse`, one exact elimination against
-  the identity, cached there; on a unimodular
-  cone it is integral, and the solve stays in int arithmetic; only a cone
-  whose inverse is not integral goes through Fraction, to raise the error
-  it always raised;
+  the identity, cached there; on a unimodular cone it is integral, and the
+  solve stays in int arithmetic; only a cone whose inverse is not integral
+  goes through Fraction, to raise the error it always raised;
 * transition matrices are dressed diagonals H_s * diag(chi^(m_s - m_t)) * H_t^{-1}
   with unitriangular H's over the chart rings, which satisfies the cocycle
   law on every triple by construction.  The diagonal is applied as a column
@@ -27,7 +26,7 @@ from operator import mul
 from .bundles import EquivariantData
 from .cocycles import TransitionData
 from .fans import (Cone, Fan, IntVec, hirzebruch_fan, product_p1_fan, projective_fan,
-                   ray_inverse as _ray_inverse, vec_sub)
+                   ray_inverse, vec_sub)
 from .laurent import LaurentMatrix, LaurentPoly, matrix_inverse_unit
 
 
@@ -46,7 +45,7 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
     """
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
-    inv = _ray_inverse(tuple(fan.ray_matrix(cone)))
+    inv = ray_inverse(tuple(fan.ray_matrix(cone)))
     values = [ray_values[k] for k in cone.ray_indices]
     m = tuple(-sum(map(mul, row, values)) for row in inv)
     if all(type(x) is int for x in m):
@@ -100,7 +99,7 @@ def chart_monomial(fan: Fan, cone_index: int, rng: random.Random, bound: int = 3
     """A random exponent in the dual semigroup of a smooth full-dimensional cone."""
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
-    inv = _ray_inverse(tuple(fan.ray_matrix(cone)))
+    inv = ray_inverse(tuple(fan.ray_matrix(cone)))
     if not all(type(x) is int for row in inv for x in row):
         raise ValueError("dual basis is not integral; cone is not smooth")
     # columns of the inverse ray matrix form the dual basis of the generators;

@@ -56,11 +56,6 @@ def matrix_payload(M: LaurentMatrix) -> list[list[list[dict]]]:
     return [[poly_payload(f) for f in row] for row in M.entries]
 
 
-def int_poly_payload(p) -> list[dict]:
-    """A piecewise-polynomial part, written by :func:`poly_payload` (den 1 on an int)."""
-    return poly_payload(p)
-
-
 def cochain_payload(cochain) -> dict:
     return {
         str(ci): [matrix_payload(M) for M in mats]

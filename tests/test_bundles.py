@@ -26,7 +26,8 @@ from torlog.bundles import (
     section_in_chart,
 )
 from torlog.corpus import line_bundle_data, random_equivariant_data, surface_fans
-from torlog.fans import DimensionError, build_fan, product_p1_fan, projective_fan
+from torlog.fans import (DimensionError, FanCheck, build_fan, hirzebruch_fan, product_p1_fan,
+                         projective_fan)
 from torlog.laurent import LaurentPoly, delta_apply
 
 X = LaurentPoly.monomial
@@ -271,13 +272,6 @@ class TestChern:
             with pytest.raises(DimensionError):
                 p.evaluate(point)
 
-    def test_substitute_linear(self):
-        p = IntPoly({(1, 1): 1})  # v1 * v2
-        assert p.substitute_linear([(1, 1)]) == IntPoly({(2,): 1})
-        assert p.substitute_linear([]) == IntPoly()
-        c = IntPoly.constant(4, 2)
-        assert c.substitute_linear([]) == IntPoly.constant(4, 0)
-
     def test_sum_of_two_lines_on_p2(self):
         fan = projective_fan(2)
         data = EquivariantData(
@@ -329,6 +323,75 @@ class TestChern:
             for ci in fan.maximal_cone_indices():
                 for ray in fan.cones[ci].ray_indices:
                     assert residue_chern_check(data, ci, ray).ok
+
+
+def substituted(p, vectors):
+    """p on the span of the vectors, v = sum_j t_j vectors[j], by formal substitution."""
+    k = len(vectors)
+    total = IntPoly()
+    for exp, c in p.terms.items():
+        term = IntPoly.constant(c, k)
+        for i, e in enumerate(exp):
+            coord = IntPoly({tuple(int(q == j) for q in range(k)): vectors[j][i]
+                             for j in range(k) if vectors[j][i]})
+            for _ in range(e):
+                term = term * coord
+        total = total + term
+    return total
+
+
+def substitution_continuity(data):
+    """The continuity checks by substituting each face's rays into every c_i."""
+    fan = data.fan
+    polys, _ = chern_pp(data)
+    maximal = sorted(data.weights)
+    checks = []
+    for a, s in enumerate(maximal):
+        for t in maximal[a + 1:]:
+            face = fan.cones[fan.overlap_index(s, t)]
+            rays = [fan.rays[k] for k in face.ray_indices]
+            bad = [p.degree for p in polys
+                   if substituted(p.parts[s], rays) != substituted(p.parts[t], rays)]
+            detail = f"cones ({s},{t}), face rays {face.ray_indices}"
+            if bad:
+                detail += f": degrees {bad} disagree on the shared span"
+            checks.append(FanCheck(f"chern_continuity[{s},{t}]", "fail" if bad else "pass", detail))
+    return checks
+
+
+def weight_families(fan, rank, rng):
+    """A compatible family, the same with one weight moved, and random weights."""
+    compatible = random_equivariant_data(fan, rank, rng)
+    moved = {ci: list(ws) for ci, ws in compatible.weights.items()}
+    ci, j, axis = rng.choice(sorted(moved)), rng.randrange(rank), rng.randrange(fan.dim)
+    step = rng.choice([-1, 1])
+    moved[ci][j] = tuple(x + step * (i == axis) for i, x in enumerate(moved[ci][j]))
+    drawn = {ci: tuple(tuple(rng.randint(-2, 2) for _ in range(fan.dim)) for _ in range(rank))
+             for ci in fan.maximal_cone_indices()}
+    return [compatible] + [EquivariantData(fan, rank, {c: tuple(w) for c, w in ws.items()})
+                           for ws in (moved, drawn)]
+
+
+class TestChernContinuityOnRestrictedWeights:
+    FANS = [projective_fan(1), projective_fan(2), product_p1_fan(), hirzebruch_fan(1),
+            hirzebruch_fan(2), projective_fan(3)]
+
+    def test_matches_substitution_and_compatibility(self):
+        rng = random.Random(19)
+        failing = zero_faces = 0
+        for fan in self.FANS:
+            for rank in range(1, 5):
+                for _ in range(3):
+                    for data in weight_families(fan, rank, rng):
+                        _, checks = chern_pp(data)
+                        assert checks == substitution_continuity(data)
+                        compat = check_compatibility(data)
+                        assert [c.name for c in compat] == [
+                            c.name.replace("chern_continuity", "compatibility") for c in checks]
+                        assert [c.status for c in compat] == [c.status for c in checks]
+                        failing += sum(not c.ok for c in checks)
+                        zero_faces += sum("face rays ()" in c.detail for c in checks)
+        assert failing > 0 and zero_faces > 0
 
 
 class TestLineBundleCorpus:

@@ -13,7 +13,6 @@ from torlog.reports import (
     Report,
     canonical_bytes,
     emit,
-    int_poly_payload,
     matrix_payload,
     poly_payload,
     rational_parts,
@@ -55,18 +54,17 @@ class TestPayloads:
 
     def test_int_poly_payload(self):
         p = IntPoly({(1, 1): 3, (0, 0): -2})
-        assert int_poly_payload(p) == [
+        assert poly_payload(p) == [
             {"exponent": [0, 0], "num": -2, "den": 1},
             {"exponent": [1, 1], "num": 3, "den": 1},
         ]
 
     def test_int_poly_payload_splits_a_fraction(self):
         p = IntPoly({(1,): Fraction(1, 2), (0,): Fraction(6, 3)})
-        assert int_poly_payload(p) == [
+        assert poly_payload(p) == [
             {"exponent": [0], "num": 2, "den": 1},
             {"exponent": [1], "num": 1, "den": 2},
         ]
-        assert int_poly_payload(p) == poly_payload(p)
 
 
 class TestReport:

@@ -18,8 +18,7 @@ import pytest
 from test_cocycles import as_tuples, reduced_and_enumerated
 
 from torlog.cocycles import TransitionData, atiyah_cocycle, validate_transitions
-from torlog.corpus import _ray_inverse
-from torlog.fans import pairing, product_p1_fan, projective_fan, vec_sub
+from torlog.fans import pairing, product_p1_fan, projective_fan, ray_inverse, vec_sub
 from torlog.laurent import LaurentMatrix, LaurentPoly
 from torlog.splitting import equivariance_verdict
 
@@ -29,7 +28,7 @@ def tangent_transitions(fan) -> TransitionData:
     rays, duals = {}, {}
     for s in maximal:
         rays[s] = fan.ray_matrix(fan.cones[s])
-        inv = _ray_inverse(tuple(rays[s]))
+        inv = ray_inverse(tuple(rays[s]))
         # the columns of the inverse ray matrix are the dual basis
         duals[s] = [tuple(int(inv[j][i]) for j in range(fan.dim)) for i in range(fan.dim)]
     mats = {}
