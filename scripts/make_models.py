@@ -24,7 +24,7 @@ from torlog.corpus import (
 )
 from torlog.fans import build_fan, hirzebruch_fan, product_p1_fan, projective_fan, vec_add
 from torlog.laurent import LaurentPoly
-from torlog.reports import canonical_bytes, poly_payload
+from torlog.reports import canonical_bytes, matrix_payload, poly_payload
 
 
 def fan_block(fan, name):
@@ -45,52 +45,38 @@ def bundle_block(data):
 
 
 def transitions_block(td, one_sided=True):
-    out = {}
-    for (s, t), M in sorted(td.matrices.items()):
-        if one_sided and s > t:
-            continue
-        out[f"{s},{t}"] = [[poly_payload(f) for f in row] for row in M.entries]
-    return out
+    return {f"{s},{t}": matrix_payload(M) for (s, t), M in sorted(td.matrices.items())
+            if not (one_sided and s > t)}
+
+
+def diagonal_model(fan, name, eq):
+    """A model with a bundle block and the diagonal transitions of its weights."""
+    m = fan_block(fan, name)
+    m["bundle"] = bundle_block(eq)
+    m["transitions"] = transitions_block(diagonal_transitions(eq))
+    return m
 
 
 def model_p1_o3():
     fan = projective_fan(1)
-    eq = line_bundle_data(fan, 3)
-    td = diagonal_transitions(eq)
-    m = fan_block(fan, "p1-o3")
-    m["bundle"] = bundle_block(eq)
-    m["transitions"] = transitions_block(td)
-    return m
+    return diagonal_model(fan, "p1-o3", line_bundle_data(fan, 3))
 
 
 def model_p2_o2():
     fan = projective_fan(2)
-    eq = line_bundle_data(fan, 2)
-    td = diagonal_transitions(eq)
-    m = fan_block(fan, "p2-o2")
-    m["bundle"] = bundle_block(eq)
-    m["transitions"] = transitions_block(td)
-    return m
+    return diagonal_model(fan, "p2-o2", line_bundle_data(fan, 2))
 
 
 def model_p2_rank2():
     fan = projective_fan(2)
     eq = random_equivariant_data(fan, 2, random.Random(11), bound=2)
-    td = diagonal_transitions(eq)
-    m = fan_block(fan, "p2-rank2")
-    m["bundle"] = bundle_block(eq)
-    m["transitions"] = transitions_block(td)
-    return m
+    return diagonal_model(fan, "p2-rank2", eq)
 
 
 def model_p1p1_rank2():
     fan = product_p1_fan()
     eq = random_equivariant_data(fan, 2, random.Random(5), bound=2)
-    td = diagonal_transitions(eq)
-    m = fan_block(fan, "p1p1-rank2")
-    m["bundle"] = bundle_block(eq)
-    m["transitions"] = transitions_block(td)
-    return m
+    return diagonal_model(fan, "p1p1-rank2", eq)
 
 
 def model_hirzebruch_dressed():
@@ -133,12 +119,7 @@ def model_half_open():
     rays = [(1, 0), (-1, 0), (0, 1)]
     cones = [(), (0,), (1,), (2,), (0, 2), (1, 2)]
     fan, _ = build_fan(rays, cones, dim=2)
-    eq = random_equivariant_data(fan, 1, random.Random(2))
-    td = diagonal_transitions(eq)
-    m = fan_block(fan, "half-open-surface")
-    m["bundle"] = bundle_block(eq)
-    m["transitions"] = transitions_block(td)
-    return m
+    return diagonal_model(fan, "half-open-surface", random_equivariant_data(fan, 1, random.Random(2)))
 
 
 MODELS = {

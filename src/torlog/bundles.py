@@ -14,6 +14,12 @@ the module derives:
 
 Both face checks read the weights restricted to the shared face of two
 charts, each weight becoming its pairings with the face's ray generators.
+The canonical connection d + diag(-<m_i, .>) is evaluated in one place,
+:meth:`ConnectionForm.diag`: residues read it at a ray generator, the
+covariant derivative at a direction v, and the canonical splitting
+(:func:`torlog.splitting.equivariant_splitting`) at the lattice basis.
+The Chern data and the residue check share one symmetric-function
+recurrence, over IntPoly and over int.
 
 Everything is exact; weights are integer vectors in M and Chern data are
 integer polynomials in the coordinates of N.
@@ -22,10 +28,11 @@ integer polynomials in the coordinates of N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 
 from .fans import DimensionError, Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
-from .laurent import LaurentMatrix, LaurentPoly, chart_member, delta_apply
+from .laurent import Coeff, LaurentMatrix, LaurentPoly, chart_member, delta_apply, exact
 
 
 class UnderdeterminedError(ValueError):
@@ -127,6 +134,7 @@ class ResidueMatrix:
 
 
 def residue(data: EquivariantData, cone_index: int, ray_index: int) -> ResidueMatrix:
+    """The residue along D_rho over one chart: its connection form read at v_rho."""
     cone = data.fan.cones[cone_index]
     if ray_index not in cone.ray_indices:
         raise ValueError(
@@ -134,8 +142,7 @@ def residue(data: EquivariantData, cone_index: int, ray_index: int) -> ResidueMa
             "the divisor does not meet this chart"
         )
     v = data.fan.rays[ray_index]
-    entries = tuple(-pairing(m, v) for m in data.weights[cone_index])
-    return ResidueMatrix(cone_index, ray_index, entries)
+    return ResidueMatrix(cone_index, ray_index, connection_form(data, cone_index).diag(v))
 
 
 def recover_weights(fan: Fan, residues: list[ResidueMatrix]) -> tuple[IntVec, ...]:
@@ -219,11 +226,9 @@ def apply_nabla(data: EquivariantData, section: EigenSection, v: IntVec) -> Eige
     Coefficient i of the result is delta_v(f_i) - <m_i, v> f_i; in
     particular the invariant sections chi^{m_i} s_i are annihilated.
     """
-    ws = data.weights[section.cone_index]
-    out = []
-    for m, f in zip(ws, section.coeffs):
-        out.append(delta_apply(v, f) + f.scale(-pairing(m, v)))
-    return EigenSection(section.cone_index, tuple(out))
+    diag = connection_form(data, section.cone_index).diag(v)
+    return EigenSection(section.cone_index,
+                        tuple(delta_apply(v, f) + f.scale(d) for d, f in zip(diag, section.coeffs)))
 
 
 def invariant_section(data: EquivariantData, cone_index: int, i: int) -> EigenSection:
@@ -267,8 +272,8 @@ class IntPoly(LaurentPoly):
         n = len(m)
         return cls({tuple(1 if j == i else 0 for j in range(n)): m[i] for i in range(n)})
 
-    def evaluate(self, point: IntVec) -> int:
-        """The value at point.
+    def evaluate(self, point: IntVec) -> Coeff:
+        """The exact value at point: an int, or a Fraction where a negative exponent divides.
 
         A point whose length is not the number of variables raises DimensionError.
         The zero polynomial has no exponent, so no number of variables, and
@@ -281,9 +286,9 @@ class IntPoly(LaurentPoly):
                 raise DimensionError(f"a point of length {len(point)} for {len(exp)} variables")
             term = c
             for x, e in zip(point, exp):
-                term *= x**e
+                term *= x**e if e >= 0 else Fraction(1, x**-e)
             total += term
-        return total
+        return exact(total)
 
 
 def _int_poly(terms: dict) -> IntPoly:
@@ -293,13 +298,24 @@ def _int_poly(terms: dict) -> IntPoly:
     return res
 
 
+def _symmetric(values, upto: int, one, zero) -> list:
+    """e_0 .. e_upto of values in the ring of the given one and zero, by the product recurrence."""
+    es = [one] + [zero] * upto
+    for x in values:
+        for i in range(upto, 0, -1):
+            es[i] = es[i] + es[i - 1] * x
+    return es
+
+
 def elementary_symmetric(forms: list[IntPoly], upto: int, nvars: int) -> list[IntPoly]:
     """e_0 .. e_upto of the given polynomials, by the product recurrence."""
-    es = [IntPoly.constant(1, nvars)] + [IntPoly() for _ in range(upto)]
-    for L in forms:
-        for i in range(min(upto, len(forms)), 0, -1):
-            es[i] = es[i] + es[i - 1] * L
-    return es
+    return _symmetric(forms, upto, IntPoly.constant(1, nvars), IntPoly())
+
+
+def _chart_chern(data: EquivariantData, cone_index: int) -> list[IntPoly]:
+    """c_0 .. c_rank over one chart: e_i of the linear forms <m_j, .> of its weights."""
+    forms = [IntPoly.linear_form(m) for m in data.weights[cone_index]]
+    return elementary_symmetric(forms, data.rank, data.fan.dim)
 
 
 @dataclass
@@ -319,13 +335,9 @@ def chern_pp(data: EquivariantData):
     e_i of the linear forms sum_k <m_j, v_k> t_k, so each check compares
     e_1 .. e_rank of the weights restricted to the face.
     """
-    n = data.fan.dim
     maximal = sorted(data.weights)
     upto = data.rank
-    per_cone = {}
-    for ci in maximal:
-        forms = [IntPoly.linear_form(m) for m in data.weights[ci]]
-        per_cone[ci] = elementary_symmetric(forms, upto, n)
+    per_cone = {ci: _chart_chern(data, ci) for ci in maximal}
     polys = [
         PiecewisePoly(i, {ci: per_cone[ci][i] for ci in maximal}) for i in range(1, upto + 1)
     ]
@@ -350,12 +362,9 @@ def residue_chern_check(data: EquivariantData, cone_index: int, ray_index: int) 
     i-th elementary symmetric value must equal c_i evaluated at v_rho.
     """
     R = residue(data, cone_index, ray_index)
-    eigen = [-x for x in R.entries]
     v = data.fan.rays[ray_index]
-    n = data.fan.dim
-    forms = [IntPoly.linear_form(m) for m in data.weights[cone_index]]
-    chern_here = elementary_symmetric(forms, data.rank, n)
-    es_sym = _symmetric_values(eigen, data.rank)
+    chern_here = _chart_chern(data, cone_index)
+    es_sym = _symmetric([-x for x in R.entries], data.rank, 1, 0)
     mismatches = []
     for i in range(1, data.rank + 1):
         ci = chern_here[i].evaluate(v)
@@ -365,11 +374,3 @@ def residue_chern_check(data: EquivariantData, cone_index: int, ray_index: int) 
     if mismatches:
         return FanCheck(name, "fail", f"mismatched degrees: {mismatches}")
     return FanCheck(name, "pass", f"degrees 1..{data.rank} agree at ray {ray_index}")
-
-
-def _symmetric_values(values, upto):
-    es = [1] + [0] * upto
-    for x in values:
-        for i in range(upto, 0, -1):
-            es[i] = es[i] + es[i - 1] * x
-    return es

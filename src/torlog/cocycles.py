@@ -121,10 +121,6 @@ def transitions_from_one_sided(fan: Fan, rank: int, one_sided: dict) -> Transiti
     return TransitionData(fan, rank, mats)
 
 
-def _basis(n: int) -> list[IntVec]:
-    return [tuple(1 if i == b else 0 for i in range(n)) for b in range(n)]
-
-
 def validate_transitions(data: TransitionData) -> list[FanCheck]:
     """Chart membership, unit determinants, inverse pairing and the cocycle law.
 

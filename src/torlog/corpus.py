@@ -41,7 +41,7 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
     ``ray_values`` maps ray index -> integer a_rho.  Only smooth
     full-dimensional cones give an integral solution, and we insist on one.
     Integer values against an integral inverse give an int solution at once;
-    anything else is multiplied out over Fraction.
+    anything else is read over Fraction, where a denominator raises.
     """
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
@@ -50,8 +50,7 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
     m = tuple(-sum(map(mul, row, values)) for row in inv)
     if all(type(x) is int for x in m):
         return m
-    target = [-Fraction(a) for a in values]
-    m = [sum(map(mul, row, target)) for row in inv]
+    m = [Fraction(x) for x in m]
     if any(x.denominator != 1 for x in m):
         raise ValueError(f"non-integral weight on cone {cone_index}: {m}")
     return tuple(int(x) for x in m)

@@ -242,18 +242,24 @@ def _maximal_cones_unimodular(fan: Fan) -> bool:
     return all(abs(fan.ray_elimination(fan.cones[i])[1]) == 1 for i in fan._maximal)
 
 
+def _missing_faces(fan: Fan, indices) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(cone rays, face rays) for each proper face of the given cones that is not listed."""
+    missing = []
+    for i in indices:
+        rays = fan.cones[i].ray_indices
+        for size in range(len(rays)):
+            missing += [(rays, sub) for sub in itertools.combinations(rays, size)
+                        if not fan.has_cone(sub)]
+    return missing
+
+
 def _maximal_faces_listed(fan: Fan) -> bool:
     """True when every proper face of every maximal cone is a listed cone.
 
     Then every listed cone with distinct rays has its proper faces listed,
     since they are proper faces of a maximal cone containing it.
     """
-    for i in fan._maximal:
-        rays = fan.cones[i].ray_indices
-        for size in range(len(rays)):
-            if not all(fan.has_cone(sub) for sub in itertools.combinations(rays, size)):
-                return False
-    return True
+    return not _missing_faces(fan, fan._maximal)
 
 
 def validate_fan(fan: Fan) -> list[FanCheck]:
@@ -305,11 +311,7 @@ def validate_fan(fan: Fan) -> list[FanCheck]:
 
     unclosed = []
     if not (distinct_rays and _maximal_faces_listed(fan)):
-        for c in fan.cones:
-            for size in range(len(c.ray_indices)):
-                for sub in itertools.combinations(c.ray_indices, size):
-                    if not fan.has_cone(sub):
-                        unclosed.append((c.ray_indices, sub))
+        unclosed = _missing_faces(fan, range(len(fan.cones)))
     checks.append(
         FanCheck("face_closure", "fail" if unclosed else "pass",
                  f"missing faces: {unclosed[:4]}" if unclosed else "")

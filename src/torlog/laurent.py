@@ -182,7 +182,10 @@ class LaurentPoly:
         return _poly(_canonical({exp: c * v for exp, v in self.terms.items()}))
 
     def shift(self, exponent: IntVec) -> "LaurentPoly":
-        """Multiply by the monomial chi^exponent."""
+        """Multiply by the monomial chi^exponent; one of another length raises DimensionError."""
+        n = len(next(iter(self.terms), exponent))
+        if len(exponent) != n:
+            raise DimensionError(f"a shift of length {len(exponent)} for {n} variables")
         return _poly({vec_add(exp, exponent): c for exp, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:

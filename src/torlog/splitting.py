@@ -64,11 +64,10 @@ import os
 from dataclasses import dataclass
 from itertools import product
 
-from .bundles import EquivariantData
+from .bundles import EquivariantData, connection_form
 from .cocycles import (
     MatrixCocycle,
     TransitionData,
-    _basis,
     atiyah_cocycle,
     check_frame_antisymmetry,
     check_triple_identity,
@@ -78,7 +77,7 @@ from .cocycles import (
     triple_passes,
     validate_transitions,
 )
-from .fans import Fan, FanCheck, IntVec, pairing, vec_add, vec_adder, vec_neg
+from .fans import Fan, FanCheck, IntVec, vec_add, vec_adder, vec_neg
 from .laurent import (
     Coeff,
     LaurentMatrix,
@@ -383,20 +382,13 @@ def _reduction_holds(cocycle, data) -> bool:
 
 
 def equivariant_splitting(data: EquivariantData) -> MatrixCochain:
-    """The canonical splitting carried by equivariant weights: diag(-<m_i, .>)."""
-    fan = data.fan
-    n = fan.dim
-    cones = {}
-    for ci in sorted(data.weights):
-        per_basis = []
-        for e in _basis(n):
-            diag = [
-                LaurentPoly.const(-pairing(m, e), n) if pairing(m, e) else LaurentPoly()
-                for m in data.weights[ci]
-            ]
-            per_basis.append(LaurentMatrix.diagonal(diag))
-        cones[ci] = tuple(per_basis)
-    return MatrixCochain(fan, data.rank, cones)
+    """The canonical splitting carried by equivariant weights.
+
+    Each chart's cochain is its connection form diag(-<m_i, .>) read at the
+    lattice basis vectors (:meth:`~torlog.bundles.ConnectionForm.basis_matrices`).
+    """
+    return MatrixCochain(data.fan, data.rank, {ci: connection_form(data, ci).basis_matrices()
+                                               for ci in sorted(data.weights)})
 
 
 def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):

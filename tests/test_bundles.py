@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -271,6 +272,15 @@ class TestChern:
         for point in [(3,), (3, 5, 7), ()]:
             with pytest.raises(DimensionError):
                 p.evaluate(point)
+
+    def test_evaluate_is_exact_at_negative_exponents(self):
+        for p, point, value in [(IntPoly({(-1,): 1}), (2,), Fraction(1, 2)),
+                                (IntPoly({(0, -2): 3}), (1, 2), Fraction(3, 4)),
+                                (IntPoly({(-1, 1): 2, (0, 1): 1}), (2, 3), 6),
+                                (IntPoly({(-1,): 1}), (-4,), Fraction(-1, 4))]:
+            assert p.evaluate(point) == value and type(p.evaluate(point)) is type(value)
+        value = IntPoly({(1, 1): 2, (0, 2): -1}).evaluate((3, 5))
+        assert value == 5 and type(value) is int
 
     def test_sum_of_two_lines_on_p2(self):
         fan = projective_fan(2)

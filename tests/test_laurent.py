@@ -617,6 +617,17 @@ class TestShiftColumns:
         with pytest.raises(DimensionError):
             LaurentMatrix.identity(2, 2).shift_columns([(0, 0)])
 
+    def test_a_shift_of_another_length_raises(self):
+        p = X((1, 2), 3)
+        for exponent in [(1,), (1, 0, 0), ()]:
+            with pytest.raises(DimensionError):
+                p.shift(exponent)
+        with pytest.raises(DimensionError):
+            LaurentMatrix.diagonal([X((1,), 3)]).shift_columns([(5, 0)])
+        with pytest.raises(DimensionError):
+            LaurentMatrix.diagonal([X((1, 2), 3)]).shift_columns([(5,)])
+        assert LaurentPoly().shift((1, 2, 3)) == LaurentPoly()
+
 
 def perturbed(M: LaurentMatrix, dim: int, rng) -> LaurentMatrix:
     """M with one coefficient of one entry changed (a new term if the entry is zero)."""

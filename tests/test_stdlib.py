@@ -61,3 +61,28 @@ def test_the_torlog_scan_sees_every_import_form():
               "from torlog import bundles\nfrom torlog.corpus import f\n"
               "def g():\n    from .splitting import h\n")
     assert torlog_imports(source) == {"fans", "laurent", "cli", "bundles", "corpus", "splitting"}
+
+
+def private_imports(source: str) -> set[tuple[str, str]]:
+    """(torlog module, name) for each private name one module's source imports from another."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level or node.module.startswith("torlog.")):
+            found.update((node.module.split(".")[-1], alias.name) for alias in node.names
+                         if alias.name.startswith("_") and alias.name != "__future__")
+    return found
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    crossing = {(path.stem, module, name) for path in MODULES
+                for module, name in private_imports(path.read_text(encoding="utf-8"))}
+    assert crossing == {("cli", "laurent", "_poly"), ("splitting", "laurent", "_sparse_rows")}
+
+
+def test_the_private_scan_sees_relative_and_absolute_imports():
+    source = ("from __future__ import annotations\nfrom .laurent import _poly, exact\n"
+              "from torlog.fans import _adder\nfrom os import _exit\n"
+              "def f():\n    from .cocycles import _basis\n")
+    assert private_imports(source) == {("laurent", "_poly"), ("fans", "_adder"),
+                                       ("cocycles", "_basis")}
