@@ -19,20 +19,21 @@ The canonical connection d + diag(-<m_i, .>) is evaluated in one place,
 covariant derivative at a direction v, and the canonical splitting
 (:func:`torlog.splitting.equivariant_splitting`) at the lattice basis.
 The Chern data and the residue check share one symmetric-function
-recurrence, over IntPoly and over int.
+recurrence, over LaurentPoly and over int.
 
 Everything is exact; weights are integer vectors in M and Chern data are
-integer polynomials in the coordinates of N.
+integer polynomials in the coordinates of N, held as LaurentPoly (the
+exponents are nonnegative, and :meth:`LaurentPoly.evaluate` reads them at a
+lattice point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
-from .fans import DimensionError, Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
-from .laurent import Coeff, LaurentMatrix, LaurentPoly, chart_member, delta_apply, exact
+from .fans import Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
+from .laurent import LaurentMatrix, LaurentPoly, chart_member, delta_apply
 
 
 class UnderdeterminedError(ValueError):
@@ -47,7 +48,9 @@ class NoSolutionError(ValueError):
 class EquivariantData:
     """Weight multisets u(sigma), one per maximal cone, for a rank-r bundle.
 
-    ``weights`` maps maximal-cone index -> tuple of r character vectors.
+    ``weights`` maps maximal-cone index -> tuple of r character vectors,
+    whose entries are read with ``operator.index``: a float or a str raises
+    TypeError.
     The stored order of each tuple is preserved: it fixes the eigenframe
     order used by residues, sections and the diagonal transition matrices,
     so that the i-th weight over every chart refers to the same line
@@ -76,6 +79,8 @@ class EquivariantData:
             for w in ws:
                 if len(w) != self.fan.dim:
                     raise ValueError(f"weight {w} on cone {ci} has wrong length")
+                for x in w:
+                    index(x)  # a float or a str raises TypeError
 
     def cone_weights(self, cone_index: int) -> tuple[IntVec, ...]:
         return self.weights[cone_index]
@@ -202,7 +207,7 @@ class ConnectionForm:
             e = tuple(1 if i == b else 0 for i in range(n))
             mats.append(
                 LaurentMatrix.diagonal(
-                    [LaurentPoly.const(c, n) if c else LaurentPoly() for c in self.diag(e)]
+                    [LaurentPoly.const(c, n) for c in self.diag(e)]
                 )
             )
         return tuple(mats)
@@ -244,58 +249,7 @@ def section_in_chart(data: EquivariantData, section: EigenSection) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials in the coordinates of N, for the Chern data
-
-
-class IntPoly(LaurentPoly):
-    """Integer polynomial in the coordinates of N, on LaurentPoly's term map.
-
-    Construction (a float raises TypeError), equality and repr are
-    LaurentPoly's; ``+`` and ``*`` are too, re-wrapped so results stay
-    IntPoly.  This adds only what LaurentPoly lacks, reading ``.terms``.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: LaurentPoly) -> "IntPoly":
-        return _int_poly(LaurentPoly.__add__(self, other).terms)
-
-    def __mul__(self, other: LaurentPoly) -> "IntPoly":
-        return _int_poly(LaurentPoly.__mul__(self, other).terms)
-
-    @classmethod
-    def constant(cls, c: int, nvars: int) -> "IntPoly":
-        return cls({(0,) * nvars: c})
-
-    @classmethod
-    def linear_form(cls, m: IntVec) -> "IntPoly":
-        n = len(m)
-        return cls({tuple(1 if j == i else 0 for j in range(n)): m[i] for i in range(n)})
-
-    def evaluate(self, point: IntVec) -> Coeff:
-        """The exact value at point: an int, or a Fraction where a negative exponent divides.
-
-        A point whose length is not the number of variables raises DimensionError.
-        The zero polynomial has no exponent, so no number of variables, and
-        takes a point of any length to 0; storing the count would give
-        IntPoly a field of its own beside LaurentPoly's term map.
-        """
-        total = 0
-        for exp, c in self.terms.items():
-            if len(point) != len(exp):
-                raise DimensionError(f"a point of length {len(point)} for {len(exp)} variables")
-            term = c
-            for x, e in zip(point, exp):
-                term *= x**e if e >= 0 else Fraction(1, x**-e)
-            total += term
-        return exact(total)
-
-
-def _int_poly(terms: dict) -> IntPoly:
-    """Wrap a term map that is already canonical."""
-    res = IntPoly.__new__(IntPoly)
-    res.terms = terms
-    return res
+# Chern data: polynomials in the coordinates of N
 
 
 def _symmetric(values, upto: int, one, zero) -> list:
@@ -307,14 +261,14 @@ def _symmetric(values, upto: int, one, zero) -> list:
     return es
 
 
-def elementary_symmetric(forms: list[IntPoly], upto: int, nvars: int) -> list[IntPoly]:
+def elementary_symmetric(forms: list[LaurentPoly], upto: int, nvars: int) -> list[LaurentPoly]:
     """e_0 .. e_upto of the given polynomials, by the product recurrence."""
-    return _symmetric(forms, upto, IntPoly.constant(1, nvars), IntPoly())
+    return _symmetric(forms, upto, LaurentPoly.const(1, nvars), LaurentPoly())
 
 
-def _chart_chern(data: EquivariantData, cone_index: int) -> list[IntPoly]:
+def _chart_chern(data: EquivariantData, cone_index: int) -> list[LaurentPoly]:
     """c_0 .. c_rank over one chart: e_i of the linear forms <m_j, .> of its weights."""
-    forms = [IntPoly.linear_form(m) for m in data.weights[cone_index]]
+    forms = [LaurentPoly.linear_form(m) for m in data.weights[cone_index]]
     return elementary_symmetric(forms, data.rank, data.fan.dim)
 
 
@@ -323,7 +277,7 @@ class PiecewisePoly:
     """Degree-i equivariant Chern datum: one polynomial per maximal cone."""
 
     degree: int
-    parts: dict[int, IntPoly] = field(default_factory=dict)
+    parts: dict[int, LaurentPoly] = field(default_factory=dict)
 
 
 def chern_pp(data: EquivariantData):
@@ -345,7 +299,7 @@ def chern_pp(data: EquivariantData):
     checks = []
     for s, t, face, restr_s, restr_t in _face_restrictions(data):
         k = len(face.ray_indices)
-        es_s, es_t = (elementary_symmetric([IntPoly.linear_form(r) for r in restr], upto, k)
+        es_s, es_t = (elementary_symmetric([LaurentPoly.linear_form(r) for r in restr], upto, k)
                       for restr in (restr_s, restr_t))
         bad = [i for i in range(1, upto + 1) if es_s[i] != es_t[i]]
         detail = f"cones ({s},{t}), face rays {face.ray_indices}"

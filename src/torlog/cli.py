@@ -38,15 +38,8 @@ from .cocycles import (
     validate_transitions,
 )
 from .fans import Fan, FanCheck, build_fan, validate_fan
-from .laurent import (
-    Coeff,
-    LaurentMatrix,
-    LaurentPoly,
-    NotAUnitError,
-    SingularMatrixError,
-    _poly,
-    exact,
-)
+from .laurent import LaurentMatrix, LaurentPoly, NotAUnitError, SingularMatrixError, _poly
+from .linalg import Coeff, exact
 from .reports import Report, cochain_payload, cocycle_payload, emit, poly_payload
 from .splitting import (
     WeightCapError,

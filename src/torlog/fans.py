@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
-from .linalg import canonical, eliminate, minors_gcd, rank_det
+from .linalg import eliminate, exact, minors_gcd, rank_det
 
 IntVec = tuple[int, ...]
 
@@ -155,9 +155,10 @@ def build_fan(rays, cones, dim=None, declared_complete=False):
     """Construct a Fan from raw data, primitivizing rays as needed.
 
     Returns (fan, warnings); a warning is recorded for every ray generator
-    that had to be rescaled.
+    that had to be rescaled.  Ray entries are read with ``operator.index``,
+    so a float or a str raises TypeError instead of being truncated.
     """
-    rays = [tuple(int(x) for x in r) for r in rays]
+    rays = [tuple(map(index, r)) for r in rays]
     if dim is None:
         if not rays:
             raise ValueError("cannot infer ambient rank from an empty ray list")
@@ -202,7 +203,7 @@ def ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[int | Fraction, ...], .
                        for i, row in enumerate(rays))
     if solved is None or len(solved[1]) != n or any(len(row) != n for row in rays):
         raise ValueError("ray matrix is singular")
-    return tuple(tuple(canonical(x) for x in solved[0][j][1]) for j in range(n))
+    return tuple(tuple(exact(x) for x in solved[0][j][1]) for j in range(n))
 
 
 def cone_is_smooth(fan: Fan, cone: Cone) -> bool:

@@ -2,10 +2,15 @@
 
 A polynomial is a finite map  exponent -> nonzero coefficient,  the exponent
 being a tuple in M and the coefficient exact: an int when it is integral,
-else a Fraction (see :func:`exact`).  Floats are refused.  The chart ring
-of a cone sigma is the span of the monomials whose exponents pair
-nonnegatively with every ray generator of sigma; the zero cone gives the
-full Laurent ring.
+else a Fraction (see :func:`torlog.linalg.exact`).  Floats are refused.
+All exponents of one polynomial have one length, the number of variables;
+a term map that mixes lengths, and a sum or product of two nonzero
+polynomials in different numbers of variables, raise DimensionError.  The
+chart ring of a cone sigma is the span of the monomials whose exponents
+pair nonnegatively with every ray generator of sigma; the zero cone gives
+the full Laurent ring.  The same type carries the ordinary polynomials on
+N of the equivariant Chern data (:meth:`LaurentPoly.linear_form`,
+:meth:`LaurentPoly.evaluate`).
 
 The module also carries the logarithmic derivations delta_v (chi^m maps to
 <m,v> chi^m), the Lie bracket on polynomial-coefficient vector fields, and
@@ -48,8 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fans import Cone, DimensionError, Fan, IntVec, pairing, vec_add, vec_adder
-
-Coeff = int | Fraction
+from .linalg import Coeff, exact
 
 
 class NotAUnitError(ValueError):
@@ -58,20 +62,6 @@ class NotAUnitError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Determinant vanishes identically."""
-
-
-def exact(c) -> Coeff:
-    """The canonical exact form of a coefficient: int when integral, else Fraction.
-
-    Anything ``Fraction`` accepts is taken, except a float, which would carry
-    a binary rounding error into exact arithmetic; that raises TypeError.
-    """
-    if type(c) is int:
-        return c
-    if isinstance(c, float):
-        raise TypeError(f"coefficients are exact; got the float {c!r}")
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _canonical(acc: dict) -> dict:
@@ -116,6 +106,14 @@ def _poly(terms: dict) -> "LaurentPoly":
     return res
 
 
+def _check_lengths(f: "LaurentPoly", g: "LaurentPoly") -> None:
+    """Raise DimensionError when f and g are nonzero in different numbers of variables."""
+    if f.terms and g.terms:
+        n, k = len(next(iter(f.terms))), len(next(iter(g.terms)))
+        if n != k:
+            raise DimensionError(f"polynomials in {n} and {k} variables")
+
+
 class LaurentPoly:
     """Sparse exact Laurent polynomial; immutable by convention."""
 
@@ -124,15 +122,14 @@ class LaurentPoly:
     def __init__(self, terms=None):
         clean = {}
         if terms:
+            lengths = set(map(len, terms))
+            if len(lengths) > 1:
+                raise DimensionError(f"exponents of lengths {sorted(lengths)} in one polynomial")
             for exp, c in terms.items():
                 c = exact(c)
                 if c != 0:
                     clean[tuple(exp)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def monomial(cls, exponent: IntVec, coeff=1) -> "LaurentPoly":
@@ -141,6 +138,11 @@ class LaurentPoly:
     @classmethod
     def const(cls, value, dim: int) -> "LaurentPoly":
         return cls({(0,) * dim: value})
+
+    @classmethod
+    def linear_form(cls, m: IntVec) -> "LaurentPoly":
+        n = len(m)
+        return cls({tuple(1 if j == i else 0 for j in range(n)): m[i] for i in range(n)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -153,6 +155,7 @@ class LaurentPoly:
         return self.terms.get(tuple(exponent), 0)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_lengths(self, other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
             s = out.get(exp, 0) + c
@@ -169,6 +172,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        _check_lengths(self, other)
         acc = {}
         if self.terms:
             vadd = vec_adder(len(next(iter(self.terms))))
@@ -187,6 +191,23 @@ class LaurentPoly:
         if len(exponent) != n:
             raise DimensionError(f"a shift of length {len(exponent)} for {n} variables")
         return _poly({vec_add(exp, exponent): c for exp, c in self.terms.items()})
+
+    def evaluate(self, point: IntVec) -> Coeff:
+        """The exact value at point: an int, or a Fraction where a negative exponent divides.
+
+        A point whose length is not the number of variables raises DimensionError.
+        The zero polynomial has no exponent, so no number of variables, and
+        takes a point of any length to 0.
+        """
+        total = 0
+        for exp, c in self.terms.items():
+            if len(point) != len(exp):
+                raise DimensionError(f"a point of length {len(point)} for {len(exp)} variables")
+            term = c
+            for x, e in zip(point, exp):
+                term *= x**e if e >= 0 else Fraction(1, x**-e)
+            total += term
+        return exact(total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

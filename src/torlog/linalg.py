@@ -4,8 +4,12 @@
 splitting solver runs it on its sparse system, and the fan layer on dense
 integer ray matrices: :func:`rank_det` for ranks and determinants, and
 against the identity for the exact inverse ``fans.ray_inverse``.
-Coefficients are ints or Fractions and stay canonical through
-:func:`exact_div`, so no float ever appears.
+
+The module also holds the one rule for an exact coefficient, :func:`exact`:
+an int when it is integral, else a Fraction, and never a float.  Every
+module that makes a coefficient canonical, from the Laurent polynomials to
+the CLI's parser, imports it from here; :func:`exact_div` keeps the
+elimination's quotients in that form.
 """
 
 from __future__ import annotations
@@ -17,8 +21,19 @@ from math import gcd, prod
 Coeff = int | Fraction
 
 
-def canonical(c: Coeff) -> Coeff:
-    """An exact coefficient as an int when integral, else as a Fraction."""
+def exact(c) -> Coeff:
+    """The canonical exact form of a coefficient: int when integral, else Fraction.
+
+    An int is returned at once and a Fraction read directly.  Anything else
+    ``Fraction`` accepts is converted, except a float, which would carry a
+    binary rounding error into exact arithmetic; that raises TypeError.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"coefficients are exact; got the float {c!r}")
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -26,7 +41,7 @@ def exact_div(c: Coeff, p: Coeff) -> Coeff:
     """c / p in canonical exact form; ``/`` on two ints would give a float."""
     if type(c) is int and type(p) is int and c % p == 0:
         return c // p
-    return canonical(Fraction(c, p))
+    return exact(Fraction(c, p))
 
 
 def eliminate(system):
@@ -100,7 +115,7 @@ def rank_det(rows) -> tuple[int, Coeff]:
     if rank != len(rows) or any(len(row) != rank for row in rows):
         return rank, 0
     inversions = sum(a > b for a, b in combinations(pivots, 2))
-    return rank, canonical((-1) ** inversions * prod(coeffs))
+    return rank, exact((-1) ** inversions * prod(coeffs))
 
 
 def minors_gcd(rows) -> int:

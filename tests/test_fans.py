@@ -188,6 +188,11 @@ class TestBuildFan:
         with pytest.raises(DimensionError):
             build_fan([(1, 0), (1,)], [(0,)])
 
+    @pytest.mark.parametrize("ray", [(1.5, 0), (1.0, 0), ("1", 0)])
+    def test_a_ray_entry_that_is_not_an_int_raises(self, ray):
+        with pytest.raises(TypeError):
+            build_fan([ray, (-1, 0)], [(), (0,), (1,)])
+
 
 class TestLattice:
     def test_smooth_lower_dimensional_cone(self):

@@ -94,6 +94,16 @@ class TestPolyAlgebra:
         with pytest.raises(TypeError):
             make()
 
+    def test_mixed_exponent_lengths_raise(self):
+        with pytest.raises(DimensionError):
+            LaurentPoly({(1,): 1, (1, 2): 1})
+        p, q = X((1,)), X((0, 0))
+        for op in (lambda: p * q, lambda: q * p, lambda: p + q, lambda: q - p):
+            with pytest.raises(DimensionError):
+                op()
+        zero = LaurentPoly()  # the zero polynomial has no number of variables
+        assert p + zero == zero + p == p and (q * zero).is_zero() and (zero * q).is_zero()
+
     @given(polys2, polys2, polys2)
     def test_ring_axioms(self, p, q, r):
         assert (p + q) * r == p * r + q * r

@@ -2,7 +2,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from torlog.linalg import eliminate
+import pytest
+from hypothesis import given, strategies as st
+
+from torlog.linalg import eliminate, exact, exact_div
+
+
+class TestExact:
+    def test_an_int_is_returned_as_itself(self):
+        big = 10**40 + 1
+        assert exact(big) is big and exact(-3) == -3 and type(exact(0)) is int
+
+    def test_an_integral_fraction_becomes_an_int(self):
+        two = exact(Fraction(6, 3))
+        assert two == 2 and type(two) is int
+
+    def test_a_proper_fraction_is_kept(self):
+        half = Fraction(1, 2)
+        assert exact(half) is half
+
+    @pytest.mark.parametrize("c", [0.5, 2.0, float("inf")])
+    def test_a_float_raises(self, c):
+        with pytest.raises(TypeError, match="coefficients are exact"):
+            exact(c)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3).filter(bool))
+    def test_exact_div_is_the_canonical_quotient(self, a, b):
+        q = exact_div(a, b)
+        assert q == Fraction(a, b)
+        assert type(q) is (int if a % b == 0 else Fraction)
 
 
 class TestEliminate:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from torlog import reports
-from torlog.bundles import IntPoly
 from torlog.fans import FanCheck
 from torlog.laurent import LaurentMatrix, LaurentPoly
 from torlog.reports import (
@@ -53,14 +52,14 @@ class TestPayloads:
         assert payload[0][1] == []
 
     def test_int_poly_payload(self):
-        p = IntPoly({(1, 1): 3, (0, 0): -2})
+        p = LaurentPoly({(1, 1): 3, (0, 0): -2})
         assert poly_payload(p) == [
             {"exponent": [0, 0], "num": -2, "den": 1},
             {"exponent": [1, 1], "num": 3, "den": 1},
         ]
 
     def test_int_poly_payload_splits_a_fraction(self):
-        p = IntPoly({(1,): Fraction(1, 2), (0,): Fraction(6, 3)})
+        p = LaurentPoly({(1,): Fraction(1, 2), (0,): Fraction(6, 3)})
         assert poly_payload(p) == [
             {"exponent": [0], "num": 2, "den": 1},
             {"exponent": [1], "num": 1, "den": 2},

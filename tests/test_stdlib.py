@@ -86,3 +86,40 @@ def test_the_private_scan_sees_relative_and_absolute_imports():
               "def f():\n    from .cocycles import _basis\n")
     assert private_imports(source) == {("laurent", "_poly"), ("fans", "_adder"),
                                        ("cocycles", "_basis")}
+
+
+def definitions(source: str) -> tuple[set[str], set[tuple[str, str]]]:
+    """(names defined at any depth, (class, base name) pairs) in one module's source.
+
+    A definition is a function, a class or an assignment target; a base is
+    named by its last attribute, so ``laurent.LaurentPoly`` reads as LaurentPoly.
+    """
+    names, bases = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            bases.update((node.name, b.attr if isinstance(b, ast.Attribute) else b.id)
+                         for b in node.bases if isinstance(b, (ast.Name, ast.Attribute)))
+    return names, bases
+
+
+def test_one_exact_coefficient_rule_and_one_polynomial_type():
+    found = {path.stem: definitions(path.read_text(encoding="utf-8")) for path in MODULES}
+    for name in ("exact", "Coeff"):
+        assert [m for m, (names, _) in found.items() if name in names] == ["linalg"], name
+    assert not [m for m, (names, _) in found.items() if "canonical" in names]
+    assert not [(m, cls) for m, (_, bases) in found.items() for cls, base in bases
+                if base == "LaurentPoly"]
+
+
+def test_the_definition_scan_sees_functions_aliases_and_subclasses():
+    source = ("Coeff = int\nx: int = 1\ndef exact(c):\n    def canonical(d):\n        pass\n"
+              "class P(laurent.LaurentPoly):\n    pass\nclass Q(LaurentPoly, Generic[T]):\n"
+              "    pass\n")
+    names, bases = definitions(source)
+    assert names == {"Coeff", "x", "exact", "canonical", "P", "Q"}
+    assert bases == {("P", "LaurentPoly"), ("Q", "LaurentPoly")}
