@@ -33,7 +33,7 @@ from .cocycles import (
     atiyah_cocycle,
     check_cocycle_pipelines,
     check_frame_antisymmetry,
-    gated_triple_identity,
+    check_triple_identity,
     transitions_from_one_sided,
     validate_transitions,
 )
@@ -346,9 +346,8 @@ def _run_cocycle(model: ModelFile, rep: Report) -> None:
     if td is None:
         return
     A = atiyah_cocycle(td)
-    antisymmetry = check_frame_antisymmetry(A, td)
-    rep.extend(antisymmetry)
-    rep.extend(gated_triple_identity(A, td, antisymmetry))
+    rep.extend(check_frame_antisymmetry(A, td))
+    rep.extend(check_triple_identity(A, td))
     rep.artifacts["cocycle"] = cocycle_payload(A)
 
 

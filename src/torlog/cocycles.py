@@ -66,18 +66,22 @@ antisymmetry and T(s,t,r) checked for s < t, both != r, the rest follow:
 When any of these facts fails, every triple is enumerated, so the failure
 details name the same triples as a full check.
 
-:func:`check_triple_identity` establishes the root-chart law and
-antisymmetry itself.  Past the :func:`validate_transitions` gate the law is
-already proved, so :func:`gated_triple_identity` takes the caller's
-antisymmetry checks and runs only the triples through r; the ``cocycle``
-command reports those checks, and the equivariance verdict runs them only
-when no splitting is found, since a found one proves both (``splitting``
-docstring).
+:func:`check_triple_identity` needs the root-chart law and antisymmetry,
+and each is proved once per object: :func:`validate_transitions` records
+the law on the transitions (it always proves it; the gate never reads its
+own record) and :func:`check_frame_antisymmetry` records its checks on
+the cocycle.  A record is served only while every input it read is the
+same object, the fan, the rank, each key and matrix of the transitions
+and, for antisymmetry, the transitions object and each basis tuple of
+the cocycle, so replacing any of them in place makes the next call prove
+it again.  So the ``cocycle`` command and the equivariance verdict's miss
+(``splitting`` docstring) run each law once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .fans import DimensionError, Fan, FanCheck, IntVec
@@ -153,7 +157,7 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
     overlaps = {(s, t): fan.cones[fan.overlap_index(s, t)] for s, t in data.ordered_pairs()}
     member_bad = [(s, t) for (s, t), overlap in overlaps.items()
                   if not matrix_chart_member(data.pair(s, t), overlap, fan)]
-    through_root = root_chart_law(data)
+    through_root = recorded_root_chart_law(data, reuse=False)  # the gate always proves
     unit_bad = []
     if member_bad or not through_root:  # else every determinant is a unit (docstring)
         for (s, t), overlap in overlaps.items():
@@ -215,6 +219,35 @@ def root_chart_law(data: TransitionData) -> bool:
     return all(all(vanishing(data.pair(s, root), [data.pair(root, t) for t in rest],
                              minus=[[one if t == s else data.pair(s, t) for t in rest]]))
                for s in rest)
+
+
+def _transition_inputs(data: TransitionData) -> list:
+    """What a recorded fact of the transitions read: the fan, the rank, each key and matrix."""
+    return [data.fan, data.rank, *itertools.chain.from_iterable(data.matrices.items())]
+
+
+def _kept(owner, inputs: list, prove, reuse: bool = True):
+    """prove(), recorded on owner as ``_record`` together with the inputs it read.
+
+    With reuse, the recorded result is served instead while every input is
+    still the same object (``is``), so replacing any of them in place makes
+    the next call prove again.  Without it the record is only written.
+    """
+    record = getattr(owner, "_record", None) if reuse else None
+    if record is not None and len(record[0]) == len(inputs) and all(
+            map(operator.is_, record[0], inputs)):
+        return record[1]
+    result = prove()
+    owner._record = (inputs, result)
+    return result
+
+
+def recorded_root_chart_law(data: TransitionData, reuse: bool = True) -> bool:
+    """:func:`root_chart_law`, recorded on the transitions.
+
+    With reuse the record is read back while the transitions are unchanged.
+    """
+    return _kept(data, _transition_inputs(data), lambda: root_chart_law(data), reuse)
 
 
 def evaluate_linear(mats, v: IntVec, rank: int) -> LaurentMatrix:
@@ -293,7 +326,17 @@ def check_cocycle_pipelines(data: TransitionData) -> list[FanCheck]:
 
 
 def check_frame_antisymmetry(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
-    """A_ts = -C_ts A_st C_st on every overlap."""
+    """A_ts = -C_ts A_st C_st on every overlap.
+
+    The checks are recorded on the cocycle and served, as a fresh list,
+    while it and the transitions are unchanged (module docstring).
+    """
+    inputs = [*_transition_inputs(data), data,
+              *itertools.chain.from_iterable(cocycle.pairs.items())]
+    return list(_kept(cocycle, inputs, lambda: tuple(_frame_antisymmetry(cocycle, data))))
+
+
+def _frame_antisymmetry(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
     checks = []
     for s, t in sorted(cocycle.pairs):
         if s > t:
@@ -335,27 +378,18 @@ def triples_through_root(cocycle: MatrixCocycle, data: TransitionData) -> bool:
 def check_triple_identity(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
     """Frame-adjusted cocycle identity A_su = A_st + C_st A_tu C_ts on all triples.
 
-    Proved through the root chart when it can be (module docstring), else
-    enumerated; the checks come out in ``permutations`` order.
+    With the root-chart law and frame antisymmetry, each read from its
+    record when the objects are unchanged, the triples T(s, t, r) through
+    the root chart for s < t stand for all (module docstring).  The guards
+    come first: without them those triples prove nothing of the rest.
+    Otherwise every triple is enumerated; the checks come out in
+    ``permutations`` order.
     """
     if len(data.maximal()) < 3:
         return []
-    if root_chart_law(data):
-        return gated_triple_identity(cocycle, data, check_frame_antisymmetry(cocycle, data))
-    return _enumerated_triples(cocycle, data)
-
-
-def gated_triple_identity(cocycle: MatrixCocycle, data: TransitionData,
-                          antisymmetry: list[FanCheck]) -> list[FanCheck]:
-    """The triple identity on transitions that pass :func:`validate_transitions`.
-
-    The gate has proved the root-chart law, so with the caller's frame
-    antisymmetry checks passing, the triples T(s, t, r) through the root
-    chart for s < t stand for all (module docstring).  The guard comes
-    first: without antisymmetry those triples prove nothing of T(t, s, r).
-    Otherwise every triple is enumerated.
-    """
-    if all(c.ok for c in antisymmetry) and triples_through_root(cocycle, data):
+    if (recorded_root_chart_law(data)
+            and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
+            and triples_through_root(cocycle, data)):
         return triple_passes(data)
     return _enumerated_triples(cocycle, data)
 

@@ -6,10 +6,11 @@ integer ray matrices: :func:`rank_det` for ranks and determinants, and
 against the identity for the exact inverse ``fans.ray_inverse``.
 
 The module also holds the one rule for an exact coefficient, :func:`exact`:
-an int when it is integral, else a Fraction, and never a float.  Every
-module that makes a coefficient canonical, from the Laurent polynomials to
-the CLI's parser, imports it from here; :func:`exact_div` keeps the
-elimination's quotients in that form.
+an int when it is integral, else a Fraction.  It takes only an int or a
+Fraction; a float, a str or a Decimal raises TypeError.  Every module that
+makes a coefficient canonical, from the Laurent polynomials to the CLI's
+parser, imports it from here; :func:`exact_div` keeps the elimination's
+quotients in that form.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ Coeff = int | Fraction
 def exact(c) -> Coeff:
     """The canonical exact form of a coefficient: int when integral, else Fraction.
 
-    An int is returned at once and a Fraction read directly.  Anything else
-    ``Fraction`` accepts is converted, except a float, which would carry a
-    binary rounding error into exact arithmetic; that raises TypeError.
+    An int is returned at once and a Fraction read directly.  Nothing else
+    is a coefficient: a float would carry a binary rounding error into
+    exact arithmetic, and a str or a Decimal would be parsed, so anything
+    but an int or a Fraction raises TypeError.
     """
     if type(c) is int:
         return c
     if type(c) is not Fraction:
-        if isinstance(c, float):
-            raise TypeError(f"coefficients are exact; got the float {c!r}")
-        c = Fraction(c)
+        raise TypeError(f"coefficients are exact, an int or a Fraction; "
+                        f"got the {type(c).__name__} {c!r}")
     return c.numerator if c.denominator == 1 else c
 
 

@@ -53,9 +53,11 @@ and adding the equation on (t, u) conjugated with st to the one on (s, t),
     A_st + C_st A_tu C_ts = C_su g_u C_us - g_s = A_su.
 
 So a found splitting lists the triple checks as passes with no further
-arithmetic; only a miss runs antisymmetry and the triples through the root
-chart (``cocycles`` docstring), to tell a broken cocycle from an empty
-search.
+arithmetic; only a miss runs antisymmetry and the triple identity, to tell
+a broken cocycle from an empty search.  The triple identity reads the
+root-chart law the gate recorded and the antisymmetry just recorded on the
+cocycle, so it runs only the triples through the root chart (``cocycles``
+docstring).
 """
 
 from __future__ import annotations
@@ -72,8 +74,7 @@ from .cocycles import (
     check_frame_antisymmetry,
     check_triple_identity,
     evaluate_linear,
-    gated_triple_identity,
-    root_chart_law,
+    recorded_root_chart_law,
     triple_passes,
     validate_transitions,
 )
@@ -373,12 +374,14 @@ def _require_splitting(cochain, cocycle, data):
 
 
 def _reduction_holds(cocycle, data) -> bool:
-    """The root-chart law, frame antisymmetry and the triple identity, which the reduction rests on."""
-    if not root_chart_law(data):
-        return False
-    antisymmetry = check_frame_antisymmetry(cocycle, data)
-    return all(c.ok for c in antisymmetry) and all(
-        c.ok for c in gated_triple_identity(cocycle, data, antisymmetry))
+    """The root-chart law, frame antisymmetry and the triple identity, which the reduction rests on.
+
+    The law and antisymmetry are read from their records while the objects
+    are unchanged (``cocycles`` docstring).
+    """
+    return (recorded_root_chart_law(data)
+            and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
+            and all(c.ok for c in check_triple_identity(cocycle, data)))
 
 
 def equivariant_splitting(data: EquivariantData) -> MatrixCochain:
@@ -442,13 +445,14 @@ def equivariance_verdict(data: TransitionData, cap=None):
     ``split_cocycle`` (the one certificate), also proves the triple identity
     (module docstring), whose checks are then listed as passes; it certifies
     a logarithmic connection and with it an equivariant structure.  On a
-    miss, antisymmetry and the triples through the root chart run
-    (``cocycles.gated_triple_identity``); a failing triple fails the verdict,
-    and so does failing antisymmetry when every triple passes, as on two
-    charts, where there is no triple (the splitting equation implies
-    antisymmetry, so no splitting exists).  Else the miss is only "nothing
-    within the searched graded space" and is reported as undetermined,
-    never as a disproof.
+    miss, antisymmetry and the triple identity run, the latter on the
+    gate's recorded law and those antisymmetry checks (``cocycles``
+    docstring), so only the triples through the root chart are new
+    arithmetic; a failing triple fails the verdict, and so does failing
+    antisymmetry when every triple passes, as on two charts, where there is
+    no triple (the splitting equation implies antisymmetry, so no splitting
+    exists).  Else the miss is only "nothing within the searched graded
+    space" and is reported as undetermined, never as a disproof.
     """
     cap = weight_cap(cap)
     checks = [c for c in validate_transitions(data) if not c.ok]
@@ -464,7 +468,7 @@ def equivariance_verdict(data: TransitionData, cap=None):
                 triples = triple_passes(data)
             else:
                 antisymmetry = check_frame_antisymmetry(cocycle, data)
-                triples = gated_triple_identity(cocycle, data, antisymmetry)
+                triples = check_triple_identity(cocycle, data)
         checks += triples
         if not all(c.ok for c in triples):
             reasons.append("cocycle fails the triple identity")

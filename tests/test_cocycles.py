@@ -122,7 +122,7 @@ class TestValidateTransitions:
     def test_scaled_pair_breaks_cocycle_law_only(self):
         td = diagonal_transitions(line_bundle_data(projective_fan(2), 1))
         td.matrices[(4, 5)] = td.matrices[(4, 5)].scale(2)
-        td.matrices[(5, 4)] = td.matrices[(5, 4)].scale("1/2")
+        td.matrices[(5, 4)] = td.matrices[(5, 4)].scale(Fraction(1, 2))
         by = checks_by_name(validate_transitions(td))
         assert by["inverse_pairing"].ok
         assert by["unit_determinants"].ok
@@ -394,7 +394,7 @@ class TestCocycleLawThroughRoot:
             for s, t in base.ordered_pairs():
                 td = TransitionData(base.fan, base.rank, dict(base.matrices))
                 td.matrices[(s, t)] = base.pair(s, t).scale(3)
-                td.matrices[(t, s)] = base.pair(t, s).scale("1/3")
+                td.matrices[(t, s)] = base.pair(t, s).scale(Fraction(1, 3))
                 assert checks_by_name(validate_transitions(td))["inverse_pairing"].ok
                 assert cocycle_law(td) == reference_cocycle_law(td)
                 assert cocycle_law(td)[1] == "fail"
@@ -650,7 +650,7 @@ def failing_fixtures():
         (1, 2): LaurentMatrix([[const(1) + X((1,))]]), (2, 1): LaurentMatrix([[const(1)]])})
     td = diagonal_transitions(line_bundle_data(projective_fan(2), 1))
     td.matrices[(4, 5)] = td.matrices[(4, 5)].scale(2)
-    td.matrices[(5, 4)] = td.matrices[(5, 4)].scale("1/2")
+    td.matrices[(5, 4)] = td.matrices[(5, 4)].scale(Fraction(1, 2))
     yield td
     rng = random.Random(82)
     for fan in (projective_fan(2), product_p1_fan(), hirzebruch_fan(1), projective_fan(3)):
@@ -659,7 +659,7 @@ def failing_fixtures():
         s, t = base.ordered_pairs()[0]
         scaled = TransitionData(base.fan, base.rank, dict(base.matrices))
         scaled.matrices[(s, t)] = base.pair(s, t).scale(3)
-        scaled.matrices[(t, s)] = base.pair(t, s).scale("1/3")
+        scaled.matrices[(t, s)] = base.pair(t, s).scale(Fraction(1, 3))
         yield scaled
         one_side = TransitionData(base.fan, base.rank, dict(base.matrices))
         one_side.matrices[(s, t)] = base.pair(s, t) + LaurentMatrix(
@@ -724,7 +724,7 @@ class TestMinimalRootSets:
                     td = TransitionData(base.fan, base.rank, dict(base.matrices))
                     if scaled:  # the inverse pairing still holds on (s, t)
                         td.matrices[(t, s)] = base.pair(t, s).scale(3)
-                        td.matrices[(s, t)] = base.pair(s, t).scale("1/3")
+                        td.matrices[(s, t)] = base.pair(s, t).scale(Fraction(1, 3))
                     else:
                         td.matrices[(t, s)] = base.pair(t, s) + E
                     assert not root_chart_law(td), (t, s, scaled)
@@ -762,3 +762,112 @@ class TestDeterminantsFromTheGate:
         td = load_model(str(MODELS / "p2_corrupted.json")).transitions
         validate_transitions(td)
         assert len(expanded) == len(td.ordered_pairs())
+
+
+def fresh(td):
+    """A copy of the transitions with the same matrices and no record."""
+    return TransitionData(td.fan, td.rank, dict(td.matrices))
+
+
+def fresh_cocycle(A):
+    """A copy of the cocycle with the same basis tuples and no record."""
+    return MatrixCocycle(A.fan, A.rank, dict(A.pairs))
+
+
+def cocycle_ladder(td):
+    """The checks of the public sequence the ``cocycle`` and ``theorem-ab`` commands run."""
+    valid = validate_transitions(td)
+    A = atiyah_cocycle(td)
+    return [as_tuples(checks) for checks in (valid, check_frame_antisymmetry(A, td),
+                                             check_triple_identity(A, td),
+                                             check_cocycle_pipelines(td))]
+
+
+class TestRecordedFacts:
+    """The gate's root-chart law and a cocycle's antisymmetry serve only unchanged objects."""
+
+    def draws(self, seed):
+        rng = random.Random(seed)
+        for fan in (projective_fan(2), product_p1_fan(), projective_fan(3)):
+            data = random_equivariant_data(fan, 2, rng)
+            yield dressed_transitions(data, random_dressing(fan, 2, rng, factors=1))
+
+    def test_a_transition_replaced_after_the_gate(self):
+        for td in self.draws(1201):
+            maximal = td.maximal()
+            for pair in ((maximal[0], maximal[1]), (maximal[1], maximal[-1]),
+                         (maximal[-1], maximal[0])):
+                assert all(c.ok for c in validate_transitions(td))  # records the law
+                A = atiyah_cocycle(td)
+                assert all(c.ok for c in check_frame_antisymmetry(A, td))
+                original = td.matrices[pair]
+                td.matrices[pair] = original.scale(2)
+                checks = check_triple_identity(A, td)
+                assert as_tuples(checks) == as_tuples(
+                    check_triple_identity(fresh_cocycle(A), fresh(td))), pair
+                assert not all(c.ok for c in checks), pair
+                # and back: the failing law recorded by the gate is not served either
+                assert not all(c.ok for c in validate_transitions(td))
+                td.matrices[pair] = original
+                checks = check_triple_identity(A, td)
+                assert as_tuples(checks) == as_tuples(
+                    check_triple_identity(fresh_cocycle(A), fresh(td))), pair
+                assert all(c.ok for c in checks), pair
+
+    def test_a_cocycle_pair_replaced_after_antisymmetry(self):
+        for td in self.draws(1202):
+            assert all(c.ok for c in validate_transitions(td))
+            E = one_constant(2, td.fan.dim)
+            for pair in td.ordered_pairs():
+                A = atiyah_cocycle(td)
+                assert all(c.ok for c in check_frame_antisymmetry(A, td))
+                A.pairs[pair] = tuple(M + E for M in A.pairs[pair])
+                anti = check_frame_antisymmetry(A, td)
+                assert as_tuples(anti) == as_tuples(
+                    check_frame_antisymmetry(fresh_cocycle(A), fresh(td)))
+                assert [c.name for c in anti if not c.ok] == [
+                    "frame_antisymmetry[{},{}]".format(*sorted(pair))]
+                assert as_tuples(check_triple_identity(A, td)) == as_tuples(
+                    check_triple_identity(fresh_cocycle(A), fresh(td)))
+
+    def test_a_second_transition_data_on_the_same_fan(self):
+        for td in self.draws(1203):
+            s, t = td.maximal()[:2]
+            other = fresh(td)
+            other.matrices[(s, t)] = td.pair(s, t).scale(2)
+            assert all(c.ok for c in validate_transitions(td))
+            A = atiyah_cocycle(td)
+            assert all(c.ok for c in check_frame_antisymmetry(A, td))
+            assert all(c.ok for c in check_triple_identity(A, td))
+            for check in (check_frame_antisymmetry, check_triple_identity):
+                got = check(A, other)
+                assert as_tuples(got) == as_tuples(check(fresh_cocycle(A), fresh(other)))
+                assert not all(c.ok for c in got), check.__name__
+                assert all(c.ok for c in check(A, td)), check.__name__
+
+    def test_ladder_draws_match_a_run_without_records(self, monkeypatch):
+        draws = list(ladder_draws(1204))
+        with_records = [cocycle_ladder(td) for td in draws]
+        assert [cocycle_ladder(td) for td in draws] == with_records  # records left by the first run
+        monkeypatch.setattr(cocycles_mod, "_kept", lambda owner, inputs, prove, reuse=True: prove())
+        assert [cocycle_ladder(fresh(td)) for td in draws] == with_records
+
+    def test_each_law_runs_once_over_the_cocycle_ladder(self, monkeypatch):
+        rng = random.Random(1205)
+        fan = projective_fan(2)
+        td = dressed_transitions(random_equivariant_data(fan, 2, rng),
+                                 random_dressing(fan, 2, rng, factors=1))
+        maximal = td.maximal()
+        root, rest = maximal[-1], maximal[:-1]
+        law = [id(td.pair(s, root)) for s in rest]
+        antisymmetry = [(id(td.pair(t, s)), id(td.pair(s, t)))
+                        for s, t in itertools.combinations(maximal, 2)]
+
+        def law_batches(calls):
+            return [id(C) for C, _, D, _, _ in calls if D is None]
+        calls = recorded_batches(monkeypatch, lambda: cocycle_ladder(td))
+        assert law_batches(calls) == law
+        assert [(id(C), id(D)) for C, _, D, _, minus in calls
+                if D is not None and not minus] == antisymmetry
+        # the gate never reads its own record
+        assert law_batches(recorded_batches(monkeypatch, lambda: validate_transitions(td))) == law

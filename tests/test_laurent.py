@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,16 @@ class TestPolyAlgebra:
     ])
     def test_float_coefficients_rejected(self, make):
         with pytest.raises(TypeError):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: LaurentPoly({(1,): "3/6"}),
+        lambda: LaurentPoly.const(" 2 ", 1),
+        lambda: X((1, 0)).scale("1/2"),
+        lambda: LaurentPoly({(0, 0): Decimal("0.5")}),
+    ])
+    def test_str_and_decimal_coefficients_rejected(self, make):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
             make()
 
     def test_mixed_exponent_lengths_raise(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,12 @@ class TestExact:
     @pytest.mark.parametrize("c", [0.5, 2.0, float("inf")])
     def test_a_float_raises(self, c):
         with pytest.raises(TypeError, match="coefficients are exact"):
+            exact(c)
+
+    @pytest.mark.parametrize("c", ["3/6", " 2 ", "1", Decimal("0.5"), Decimal(2)],
+                             ids=["str-fraction", "str-padded", "str-int", "decimal", "decimal-int"])
+    def test_a_str_or_a_decimal_raises(self, c):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
             exact(c)
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3).filter(bool))

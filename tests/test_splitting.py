@@ -835,9 +835,12 @@ class TestReducedVerdict:
         assert sum(sizes) == after
         sizes.clear()
         A = atiyah_cocycle(td)
+        # the verdict's gate recorded the law on td; a copy carries no record,
+        # so check_triple_identity runs the patched law and enumerates
+        fresh = TransitionData(td.fan, td.rank, dict(td.matrices))
         with monkeypatch.context() as m:
             m.setattr(cocycles_mod, "root_chart_law", lambda data: False)
-            assert all(c.ok for c in check_triple_identity(A, td))
+            assert all(c.ok for c in check_triple_identity(A, fresh))
         assert split_cocycle(A, td).closure_depth == 0
         assert sum(sizes) == before
 

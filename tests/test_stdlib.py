@@ -123,3 +123,26 @@ def test_the_definition_scan_sees_functions_aliases_and_subclasses():
     names, bases = definitions(source)
     assert names == {"Coeff", "x", "exact", "canonical", "P", "Q"}
     assert bases == {("P", "LaurentPoly"), ("Q", "LaurentPoly")}
+
+
+def attribute_names(source: str) -> set[str]:
+    """Attribute names one module's source reads or writes, with ``obj.name`` or as a str."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_each_cocycle_fact_is_recorded_in_one_module():
+    found = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert not [m for m, source in found.items() if "gated_triple_identity" in definitions(source)[0]]
+    assert [m for m, source in found.items() if "_record" in attribute_names(source)] == ["cocycles"]
+
+
+def test_the_attribute_scan_sees_reads_writes_and_strings():
+    source = ("x = a._record\nb.c._kept = 1\ngetattr(d, '_named', None)\n"
+              "def f():\n    '''A docstring.'''\n    return e.g\n")
+    assert attribute_names(source) == {"_record", "c", "_kept", "_named", "A docstring.", "g"}
