@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module in src/torlog, and their total.
+"""Count the code lines and physical lines of each module in src/torlog, and their totals.
 
 A code line holds at least one token of code.  Blank lines, comment-only
 lines and the docstrings of modules, classes and functions do not count; a
 multi-line string that is not a docstring counts on every line it spans.
+Each output line gives the code lines, then the physical lines (every line
+of the file), then the module.
 
 Examples::
 
@@ -51,12 +53,14 @@ def code_lines(path: Path) -> int:
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     paths = [Path(a) for a in args] or sorted((ROOT / "src" / "torlog").glob("*.py"))
-    total = 0
+    total = physical_total = 0
     for path in paths:
         count = code_lines(path)
+        physical = len(path.read_bytes().splitlines())
         total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        physical_total += physical
+        print(f"{count:6d} {physical:6d}  {path.name}")
+    print(f"{total:6d} {physical_total:6d}  total")
     return 0
 
 

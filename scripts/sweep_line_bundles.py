@@ -5,7 +5,9 @@ For each degree the script builds the diagonal transition family, runs the
 graded splitting solver on its derivative cocycle, verifies the gauge gluing
 law, and prints one row: degree, splitting found, closure depth, number of
 graded weights visited, and the first Chern data evaluated at each ray
-generator.  With --dressed the transitions are conjugated by random
+generator.  A found splitting that fails the gauge law reads BROKEN and
+counts as a failure in the exit code, as a degree that did not split does.
+With --dressed the transitions are conjugated by random
 unitriangular dressings first, which leaves every verdict unchanged but
 exercises the solver off the diagonal.
 
@@ -31,7 +33,13 @@ from torlog.corpus import (
     random_dressing,
 )
 from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan
-from torlog.splitting import WeightCapError, connection_from_splitting, split_cocycle, weight_cap
+from torlog.splitting import (
+    InconsistentSplittingError,
+    WeightCapError,
+    connection_from_splitting,
+    split_cocycle,
+    weight_cap,
+)
 
 FANS = {
     "p1": lambda a: projective_fan(1),
@@ -45,16 +53,20 @@ def sweep(fan, degrees, ray, dressed, rng, cap):
     rows = []
     for k in degrees:
         data = line_bundle_data(fan, k, ray=ray)
-        td = diagonal_transitions(data)
         if dressed:
             td = dressed_transitions(data, random_dressing(fan, 1, rng))
+        else:
+            td = diagonal_transitions(data)
         start = time.perf_counter()
         result = split_cocycle(atiyah_cocycle(td), td, cap=cap)
         elapsed = time.perf_counter() - start
         gauge = ""
         if result.found:
-            _, checks = connection_from_splitting(result.cochain, td)
-            gauge = "glues" if all(c.ok for c in checks) else "BROKEN"
+            try:
+                connection_from_splitting(result.cochain, td)
+                gauge = "glues"
+            except InconsistentSplittingError:
+                gauge = "BROKEN"
         (c1, *_), _ = chern_pp(data)
         c1_at_rays = [
             c1.parts[ci].evaluate(fan.rays[r])
@@ -95,14 +107,17 @@ def main(argv=None) -> int:
           f"maximal_cones={len(fan.maximal_cone_indices())} dressed={args.dressed}")
     print(f"{'k':>4}  {'split':<7} {'depth':>5} {'weights':>8} {'gauge':<7} "
           f"{'secs':>7}  c1 at ray generators")
-    misses = 0
+    misses = broken = 0
     for k, found, depth, nweights, gauge, elapsed, c1_vals in rows:
         misses += not found
+        broken += gauge == "BROKEN"
         print(f"{k:>4}  {'found' if found else 'none':<7} {depth:>5} "
               f"{nweights:>8} {gauge:<7} {elapsed:>7.3f}  {c1_vals}")
     print(f"# {len(rows) - misses}/{len(rows)} degrees split "
           f"within the search budget")
-    return 1 if misses else 0
+    if broken:
+        print(f"# {broken}/{len(rows) - misses} found splittings fail the gauge law")
+    return 1 if misses or broken else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ divisors, equivariant Chern data, and splitting cochains.
 from .bundles import (
     EigenSection,
     EquivariantData,
-    NoSolutionError,
     ResidueMatrix,
     UnderdeterminedError,
     apply_nabla,

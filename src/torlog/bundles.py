@@ -40,10 +40,6 @@ class UnderdeterminedError(ValueError):
     """Weight recovery asked on a cone whose rays do not pin down M."""
 
 
-class NoSolutionError(ValueError):
-    """Residue data consistent with no lattice weight at all."""
-
-
 @dataclass(frozen=True)
 class EquivariantData:
     """Weight multisets u(sigma), one per maximal cone, for a rank-r bundle.
@@ -98,7 +94,7 @@ def _face_restrictions(data: EquivariantData):
     for a, s in enumerate(maximal):
         for t in maximal[a + 1:]:
             face = fan.cones[fan.overlap_index(s, t)]
-            rays = [fan.rays[k] for k in face.ray_indices]
+            rays = fan.ray_matrix(face)
             restr_s, restr_t = ([tuple(pairing(m, u) for u in rays) for m in data.weights[c]]
                                 for c in (s, t))
             yield s, t, face, restr_s, restr_t
@@ -160,7 +156,7 @@ def recover_weights(fan: Fan, residues: list[ResidueMatrix]) -> tuple[IntVec, ..
     Raises UnderdeterminedError when the cone is not smooth and
     full-dimensional.  A smooth full-dimensional cone has ray determinant
     +-1, so inv is integral and every integer residue has a lattice
-    solution: NoSolutionError is never raised here.
+    solution.
     """
     if not residues:
         raise ValueError("need at least one residue matrix")

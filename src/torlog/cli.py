@@ -17,7 +17,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bundles import (
     EquivariantData,
@@ -39,7 +38,7 @@ from .cocycles import (
 )
 from .fans import Fan, FanCheck, build_fan, validate_fan
 from .laurent import LaurentMatrix, LaurentPoly, NotAUnitError, SingularMatrixError, _poly
-from .linalg import Coeff, exact
+from .linalg import Coeff, exact, exact_div
 from .reports import Report, cochain_payload, cocycle_payload, emit, poly_payload
 from .splitting import (
     WeightCapError,
@@ -125,7 +124,7 @@ def _parse_poly(obj, n: int, what: str) -> LaurentPoly:
             _as_int(den, f"{what}, term {k} den")
         if not den:
             raise ModelParseError(f"{what}, term {k} has denominator zero")
-        c = num // den if num % den == 0 else Fraction(num, den)
+        c = exact_div(num, den)
         e = tuple(e)
         if e in terms:
             c = exact(terms[e] + c)
@@ -363,7 +362,7 @@ def _run_split(model: ModelFile, rep: Report) -> None:
     if td is None:
         return
     A = atiyah_cocycle(td)
-    # the gate proved C_ts C_st = 1, so A is frame-antisymmetric by Leibniz (splitting docstring)
+    # the Leibniz skip (splitting docstring, past the gate)
     result = split_cocycle(A, td, cap=cap, antisymmetry=[])
     rep.artifacts["weight_cap"] = result.weight_cap
     rep.artifacts["closure_depth"] = result.closure_depth
@@ -372,7 +371,7 @@ def _run_split(model: ModelFile, rep: Report) -> None:
             FanCheck("splitting", "pass",
                      f"found within closure depth {result.closure_depth}")
         )
-        # the verified splitting equation is the gauge law (splitting docstring)
+        # a verified splitting proves the gauge law (splitting docstring, past the gate)
         rep.extend(gauge_passes(td))
         rep.artifacts["splitting"] = cochain_payload(result.cochain)
     else:

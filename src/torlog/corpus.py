@@ -9,8 +9,8 @@ exact equality without reference outputs:
   shared face then agree automatically, line by line.  The inverse ray
   matrix is :func:`torlog.fans.ray_inverse`, one exact elimination against
   the identity, cached there; on a unimodular cone it is integral, and the
-  solve stays in int arithmetic; only a cone whose inverse is not integral
-  goes through Fraction, to raise the error it always raised;
+  solve stays in int arithmetic; each coordinate is made canonical, and
+  one that is not an integer raises;
 * transition matrices are dressed diagonals H_s * diag(chi^(m_s - m_t)) * H_t^{-1}
   with unitriangular H's over the chart rings, which satisfies the cocycle
   law on every triple by construction.  The diagonal is applied as a column
@@ -28,6 +28,7 @@ from .cocycles import TransitionData
 from .fans import (Cone, Fan, IntVec, hirzebruch_fan, product_p1_fan, projective_fan,
                    ray_inverse, vec_sub)
 from .laurent import LaurentMatrix, LaurentPoly, matrix_inverse_unit
+from .linalg import exact
 
 
 def _require_smooth_full(fan: Fan, cone: Cone):
@@ -40,20 +41,17 @@ def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
 
     ``ray_values`` maps ray index -> integer a_rho.  Only smooth
     full-dimensional cones give an integral solution, and we insist on one.
-    Integer values against an integral inverse give an int solution at once;
-    anything else is read over Fraction, where a denominator raises.
+    Each coordinate is made canonical (``linalg.exact``); one left a
+    Fraction raises.
     """
     cone = fan.cones[cone_index]
     _require_smooth_full(fan, cone)
     inv = ray_inverse(tuple(fan.ray_matrix(cone)))
     values = [ray_values[k] for k in cone.ray_indices]
-    m = tuple(-sum(map(mul, row, values)) for row in inv)
-    if all(type(x) is int for x in m):
-        return m
-    m = [Fraction(x) for x in m]
-    if any(x.denominator != 1 for x in m):
-        raise ValueError(f"non-integral weight on cone {cone_index}: {m}")
-    return tuple(int(x) for x in m)
+    m = tuple(exact(-sum(map(mul, row, values))) for row in inv)
+    if not all(type(x) is int for x in m):
+        raise ValueError(f"non-integral weight on cone {cone_index}: {[Fraction(x) for x in m]}")
+    return m
 
 
 def weights_from_ray_values(fan: Fan, ray_values) -> dict[int, IntVec]:

@@ -29,8 +29,8 @@ flattened, its cancelled zeros dropped, before it meets D.  The pass has
 three tails:
 
 * the build tail makes every coefficient canonical once and wraps the
-  result: :meth:`LaurentMatrix.mul_add` returns A * B + Z (``*`` is the same
-  method without Z) and :func:`conjugations` returns C * X_b * D + Z_b;
+  result: ``*`` returns A * B and :func:`conjugations` returns
+  C * X_b * D + Z_b;
 * the zero-test tail, :func:`vanishing`, returns one bool per X_b, whether
   C * X_b * D + Z_b - W_b (or C * X_b + Z_b - W_b) is zero.  It builds no
   polynomial and stops an element at its first row with a nonzero
@@ -50,10 +50,8 @@ of its first exponent (``fans.vec_adder``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fans import Cone, DimensionError, Fan, IntVec, pairing, vec_add, vec_adder
-from .linalg import Coeff, exact
+from .linalg import Coeff, exact, exact_div
 
 
 class NotAUnitError(ValueError):
@@ -205,7 +203,7 @@ class LaurentPoly:
                 raise DimensionError(f"a point of length {len(point)} for {len(exp)} variables")
             term = c
             for x, e in zip(point, exp):
-                term *= x**e if e >= 0 else Fraction(1, x**-e)
+                term *= x**e if e >= 0 else exact_div(1, x**-e)
             total += term
         return exact(total)
 
@@ -506,26 +504,19 @@ class LaurentMatrix:
             tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_size(other)
-        return LaurentMatrix._square(tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return self + (-other)
 
     def __neg__(self) -> "LaurentMatrix":
         return LaurentMatrix._square(tuple(tuple(-a for a in row) for row in self.entries))
 
-    def mul_add(self, other: "LaurentMatrix", addend: "LaurentMatrix | None" = None
-                ) -> "LaurentMatrix":
-        """self * other + addend in one row-sparse pass.
+    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """self * other in one row-sparse pass.
 
         Each term in column k of a left row meets only the terms of right
-        row k, and entry (p, q) is one term map, seeded with the terms of
-        addend[p][q].  Zero entries share one empty polynomial.  ``*`` is
-        this method without an addend.
+        row k, and entry (p, q) is one term map.  Zero entries share one
+        empty polynomial.
         """
-        return _batch(self, (other,), None, () if addend is None else (((addend,), 1),),
-                      _built)[0]
-
-    __mul__ = mul_add
+        return _batch(self, (other,), None, (), _built)[0]
 
     def shift_columns(self, exponents) -> "LaurentMatrix":
         """self * diag(chi^e_0, ..., chi^e_{r-1}): column q multiplied by chi^e_q."""
@@ -700,7 +691,7 @@ def matrix_inverse_unit(C: LaurentMatrix) -> LaurentMatrix:
             f"determinant has {len(det)} terms; not a unit of the Laurent ring"
         )
     (exp, c), = det.items()
-    inv_exp, inv_c = tuple(-x for x in exp), exact(Fraction(1) / c)
+    inv_exp, inv_c = tuple(-x for x in exp), exact_div(1, c)
     r = C.size
     if r == 1:
         return LaurentMatrix._square(((_poly({inv_exp: inv_c}),),))

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .fans import FanCheck
 from .laurent import LaurentMatrix, LaurentPoly
+from .linalg import Coeff
 
 _STATUS_PREFIX = {"pass": "OK", "fail": "FAIL", "undetermined": "UNDET"}
 
@@ -36,11 +36,11 @@ class Report:
         return 0
 
 
-def rational_parts(c: Fraction) -> tuple[int, int]:
-    """Numerator and positive denominator in lowest terms; an int is (c, 1)."""
-    if type(c) is int:
-        return c, 1
-    c = Fraction(c)
+def rational_parts(c: Coeff) -> tuple[int, int]:
+    """Numerator and positive denominator in lowest terms; an int is (c, 1).
+
+    A canonical coefficient (``linalg.exact``) carries both already.
+    """
     return c.numerator, c.denominator
 
 

@@ -33,31 +33,27 @@ against the defining equation, independently of the solve: one exact zero
 test of C_st g_t C_ts - g_s - A_st per ordered pair (``laurent.vanishing``);
 "not found" only means: nothing in the searched graded space.
 
-:func:`equivariance_verdict` validates the transitions first and has one
-certificate, that re-verification plus chart-ring membership of each
-g_sigma.  Once the gate proves C_ts C_st = 1, the gauge law
-:func:`connection_from_splitting` checks on (s, t) is the splitting
-equation on (t, s), since delta(C_ts) C_st = -C_ts delta(C_st) by Leibniz,
-so neither the verdict nor the ``split`` command checks it again: ``split``
-lists its checks as passes (:func:`gauge_passes`).
+Past the gate.  :func:`equivariance_verdict` and the ``split`` command
+first run :func:`~torlog.cocycles.validate_transitions`, which proves
+C_ts C_st = 1 and C_st C_tu = C_su on every pair and triple.  Past it,
+four facts hold with no further arithmetic:
 
-The verdict runs the solver before any check of the cocycle: with
-C_ts C_st = 1 and C_st C_tu = C_su proved by the gate, the verified
-equation on every ordered pair implies frame antisymmetry and the triple
-identity.  Conjugating the equation on (s, t) with ts,
+* the Leibniz skip: the Atiyah cocycle A_st = delta(C_st) C_ts is
+  frame-antisymmetric, since delta(C_ts) C_st = -C_ts delta(C_st), so the
+  solver is handed no antisymmetry checks (``antisymmetry=[]``);
+* a verified splitting proves antisymmetry: conjugating the equation on
+  (s, t) with ts gives  -C_ts A_st C_st = C_ts g_s C_st - g_t = A_ts;
+* it proves the triple identity: adding the equation on (t, u),
+  conjugated with st, to the one on (s, t) gives
+  A_st + C_st A_tu C_ts = C_su g_u C_us - g_s = A_su;
+* it proves the gauge law: the law :func:`connection_from_splitting`
+  checks on (s, t) is the splitting equation on (t, s), by the same
+  Leibniz identity.
 
-    -C_ts A_st C_st = C_ts g_s C_st - g_t = A_ts,
-
-and adding the equation on (t, u) conjugated with st to the one on (s, t),
-
-    A_st + C_st A_tu C_ts = C_su g_u C_us - g_s = A_su.
-
-So a found splitting lists the triple checks as passes with no further
-arithmetic; only a miss runs antisymmetry and the triple identity, to tell
-a broken cocycle from an empty search.  The triple identity reads the
-root-chart law the gate recorded and the antisymmetry just recorded on the
-cocycle, so it runs only the triples through the root chart (``cocycles``
-docstring).
+So the verdict lists a found splitting's triple checks as passes
+(:func:`~torlog.cocycles.triple_passes`) and ``split`` its gauge checks
+(:func:`gauge_passes`); only a miss runs antisymmetry and the triple
+identity, to tell a broken cocycle from an empty search.
 """
 
 from __future__ import annotations
@@ -190,7 +186,8 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
     the resulting exact linear system; free coordinates are set to zero, so
     the particular solution returned is one representative of a possibly
     larger affine family.  A cocycle that is not frame-antisymmetric is
-    refused; ``antisymmetry`` hands in its checks if the caller ran them.
+    refused; ``antisymmetry`` hands in its checks if the caller ran them,
+    and past the gate ``[]`` (the Leibniz skip, module docstring).
     """
     cap = weight_cap(cap)
     if antisymmetry is None:
@@ -426,76 +423,66 @@ def connection_from_splitting(splitting: MatrixCochain, data: TransitionData):
 def gauge_passes(data: TransitionData) -> list[FanCheck]:
     """The gauge law's checks when it holds, one per ordered pair in sorted order.
 
-    Past the :func:`validate_transitions` gate a verified splitting proves
-    the gauge law on every pair (module docstring), so the ``split`` command
-    lists these rather than running :func:`connection_from_splitting`.
+    Past the gate a verified splitting proves the gauge law (module
+    docstring), so the ``split`` command lists these rather than running
+    :func:`connection_from_splitting`.
     """
     return [FanCheck(f"gauge_law[{s},{t}]", "pass", "") for s, t in sorted(data.matrices)]
+
+
+def _failed(checks: list[FanCheck], detail: str, cap: int):
+    """A failed verdict: the checks with the failing ``equivariance`` check appended."""
+    checks.append(FanCheck("equivariance", "fail", detail))
+    return checks, SplitResult(None, cap, 0, 0)
 
 
 def equivariance_verdict(data: TransitionData, cap=None):
     """Decide equivariance by splitting the obstruction cocycle.
 
-    Returns (checks, split_result).  Only the failing checks of the
-    ``validate_transitions`` gate enter the list; missing pairs fail the
-    verdict at once, any other failure after the triple identity has run.
-    Past the gate the solver runs first, handed no antisymmetry checks: the
-    Atiyah cocycle of gated transitions is antisymmetric by Leibniz, and a
-    found splitting proves it again.  A found splitting, re-verified inside
-    ``split_cocycle`` (the one certificate), also proves the triple identity
-    (module docstring), whose checks are then listed as passes; it certifies
-    a logarithmic connection and with it an equivariant structure.  On a
-    miss, antisymmetry and the triple identity run, the latter on the
-    gate's recorded law and those antisymmetry checks (``cocycles``
-    docstring), so only the triples through the root chart are new
-    arithmetic; a failing triple fails the verdict, and so does failing
-    antisymmetry when every triple passes, as on two charts, where there is
-    no triple (the splitting equation implies antisymmetry, so no splitting
-    exists).  Else the miss is only "nothing within the searched graded
-    space" and is reported as undetermined, never as a disproof.
+    Returns (checks, split_result), each outcome where it is decided:
+
+    * a failing :func:`validate_transitions` gate fails the verdict with
+      its failing checks and, when every pair is present, the triple
+      identity's checks;
+    * past the gate the solver runs first (the Leibniz skip, module
+      docstring).  A splitting it finds is re-verified inside
+      ``split_cocycle``, the one certificate; it proves the triple identity
+      (module docstring), whose checks are listed as passes, and certifies a
+      logarithmic connection and with it an equivariant structure;
+    * a miss runs antisymmetry, then the triple identity on the gate's
+      recorded law and that antisymmetry record (``cocycles`` docstring).  A
+      failing triple fails the verdict, and so does failing antisymmetry, as
+      on two charts, where there is no triple: a splitting would prove it.
+      Else the miss is only "nothing within the searched graded space",
+      reported as undetermined, never as a disproof.
     """
     cap = weight_cap(cap)
     checks = [c for c in validate_transitions(data) if not c.ok]
-    reasons = [f"transitions fail validation: {', '.join(c.name for c in checks)}"] if checks else []
-    if not any(c.name == "transitions_present" for c in checks):  # else no cocycle to build
-        cocycle = atiyah_cocycle(data)
-        antisymmetry = []
-        if checks:
-            triples = check_triple_identity(cocycle, data)
-        else:
-            result = split_cocycle(cocycle, data, cap=cap, antisymmetry=[])
-            if result.found:
-                triples = triple_passes(data)
-            else:
-                antisymmetry = check_frame_antisymmetry(cocycle, data)
-                triples = check_triple_identity(cocycle, data)
-        checks += triples
-        if not all(c.ok for c in triples):
-            reasons.append("cocycle fails the triple identity")
-        elif not all(c.ok for c in antisymmetry):  # two charts: no triple to fail
-            checks += [c for c in antisymmetry if not c.ok]
-            reasons.append("cocycle fails frame antisymmetry")
-    if reasons:
-        checks.append(FanCheck("equivariance", "fail", "; ".join(reasons)))
-        return checks, SplitResult(None, cap, 0, 0)
+    if checks:
+        detail = f"transitions fail validation: {', '.join(c.name for c in checks)}"
+        if not any(c.name == "transitions_present" for c in checks):  # else no cocycle to build
+            triples = check_triple_identity(atiyah_cocycle(data), data)
+            checks += triples
+            if not all(c.ok for c in triples):
+                detail += "; cocycle fails the triple identity"
+        return _failed(checks, detail, cap)
+    cocycle = atiyah_cocycle(data)
+    result = split_cocycle(cocycle, data, cap=cap, antisymmetry=[])
     if result.found:
-        checks.append(
-            FanCheck(
-                "equivariance",
-                "pass",
-                "splitting found: a logarithmic connection exists, "
-                "so the bundle admits an equivariant structure",
-            )
-        )
-    else:
-        checks.append(
-            FanCheck(
-                "equivariance",
-                "undetermined",
-                f"no splitting found within the graded search space "
-                f"(closure depth {result.closure_depth}, cap {result.weight_cap}, "
-                f"{result.weights_searched} weights); not a proof of non-existence"
-                f"{result.truncation_note()}",
-            )
-        )
-    return checks, result
+        return triple_passes(data) + [FanCheck(
+            "equivariance", "pass",
+            "splitting found: a logarithmic connection exists, "
+            "so the bundle admits an equivariant structure")], result
+    antisymmetry = check_frame_antisymmetry(cocycle, data)
+    triples = check_triple_identity(cocycle, data)
+    if not all(c.ok for c in triples):
+        return _failed(triples, "cocycle fails the triple identity", cap)
+    broken = [c for c in antisymmetry if not c.ok]
+    if broken:
+        return _failed(triples + broken, "cocycle fails frame antisymmetry", cap)
+    return triples + [FanCheck(
+        "equivariance", "undetermined",
+        f"no splitting found within the graded search space "
+        f"(closure depth {result.closure_depth}, cap {result.weight_cap}, "
+        f"{result.weights_searched} weights); not a proof of non-existence"
+        f"{result.truncation_note()}")], result

@@ -7,10 +7,10 @@ from math import prod
 
 import pytest
 
+from torlog import bundles as bundles_mod
 from torlog.bundles import (
     EigenSection,
     EquivariantData,
-    NoSolutionError,
     ResidueMatrix,
     UnderdeterminedError,
     apply_nabla,
@@ -58,6 +58,10 @@ class TestEquivariantData:
         fan = projective_fan(1)
         with pytest.raises(ValueError):
             EquivariantData(fan, 2, {1: ((0,),), 2: ((3,),)})
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="^rank must be at least 1$"):
+            EquivariantData(projective_fan(1), 0, {1: (), 2: ()})
 
     def test_weight_length_rejected(self):
         fan = projective_fan(1)
@@ -185,6 +189,10 @@ class TestRecoverWeights:
         data = quadrant_data([(1, 0)])
         with pytest.raises(ValueError):
             recover_weights(data.fan, [residue(data, 3, 0)])
+
+    def test_no_residues_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one residue matrix$"):
+            recover_weights(projective_fan(1), [])
 
     def test_rank_disagreement_rejected(self):
         fan, _ = build_fan([(1, 0), (0, 1)], [(), (0,), (1,), (0, 1)])
@@ -330,6 +338,16 @@ class TestChern:
         for ray in (0, 1):
             assert residue_chern_check(data, 3, ray).ok
 
+    def test_residue_chern_check_names_the_mismatched_degrees(self, monkeypatch):
+        data = quadrant_data([(1, 0), (0, 1)])
+        assert residue(data, 3, 0).entries == (-1, 0)
+        # -R has eigenvalues (2, 0): e_1 = 2 against c_1(v_0) = 1, e_2 = 0 = c_2(v_0)
+        monkeypatch.setattr(bundles_mod, "residue",
+                            lambda data, ci, ray: ResidueMatrix(ci, ray, (-2, 0)))
+        check = residue_chern_check(data, 3, 0)
+        assert (check.name, check.status, check.detail) == (
+            "residue_chern[3,0]", "fail", "mismatched degrees: [(1, 2, 1)]")
+
     def test_residue_chern_over_corpus(self):
         rng = random.Random(41)
         for fan in surface_fans():
@@ -416,10 +434,6 @@ class TestLineBundleCorpus:
     def test_p2_weights(self):
         data = line_bundle_data(projective_fan(2), 4)
         assert data.weights == {4: ((0, 0),), 5: ((0, 4),), 6: ((4, 0),)}
-
-    def test_noSolution_error_exists(self):
-        # the error type is part of the recovery contract
-        assert issubclass(NoSolutionError, ValueError)
 
 
 class TestIntPolyOnLaurentTerms:

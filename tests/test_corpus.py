@@ -234,7 +234,7 @@ class TestOneProductPerPair:
     def test_no_diagonal_and_one_product_per_pair(self, monkeypatch):
         monkeypatch.setattr(corpus_mod, "diagonal_transitions", None)
         products = []
-        real = LaurentMatrix.mul_add
+        real = LaurentMatrix.__mul__
         monkeypatch.setattr(LaurentMatrix, "__mul__",
                             lambda A, B: products.append(1) or real(A, B))
         fan = projective_fan(2)

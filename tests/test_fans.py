@@ -188,6 +188,15 @@ class TestBuildFan:
         with pytest.raises(DimensionError):
             build_fan([(1, 0), (1,)], [(0,)])
 
+    def test_no_rays_need_a_declared_dim(self):
+        with pytest.raises(ValueError, match="^cannot infer ambient rank from an empty ray list$"):
+            build_fan([], [])
+
+    def test_cone_index_of_a_missing_cone_raises(self):
+        fan = projective_fan(2)
+        with pytest.raises(ValueError, match=r"^no cone with rays \(0, 1, 2\) in this fan$"):
+            fan.cone_index((2, 1, 0))
+
     @pytest.mark.parametrize("ray", [(1.5, 0), (1.0, 0), ("1", 0)])
     def test_a_ray_entry_that_is_not_an_int_raises(self, ray):
         with pytest.raises(TypeError):

@@ -122,6 +122,36 @@ class TestPolyAlgebra:
         assert p + (q + r) == (p + q) + r
 
 
+class TestReprsHashAndForeignTypes:
+    """The reprs, hashing and == against another type of the three algebra types."""
+
+    F = LaurentPoly({(1, -1): Fraction(1, 2), (0, 2): -3})
+
+    def test_reprs_zero_included(self):
+        f, zero = self.F, LaurentPoly()
+        assert repr(zero) == "0" and repr(VField()) == "VField(0)"
+        assert repr(f) == "-3*x^[0, 2] + 1/2*x^[1, -1]"
+        assert repr(VField([(f, (1, 0))])) == "(-3*x^[0, 2] + 1/2*x^[1, -1]) (x) [1, 0]"
+        assert repr(LaurentMatrix([[f, zero], [zero, LaurentPoly.const(1, 2)]])) == (
+            "LaurentMatrix([-3*x^[0, 2] + 1/2*x^[1, -1], 0; 0, 1*x^[0, 0]])")
+
+    def test_hash_agrees_with_equality(self):
+        g = LaurentPoly({(0, 2): Fraction(-6, 2), (1, -1): Fraction(1, 2)})  # another order
+        assert g == self.F and hash(g) == hash(self.F)
+        assert len({self.F, g, LaurentPoly(), LaurentPoly({(0, 0): 0})}) == 2
+
+    def test_vfield_difference(self):
+        a = VField([(self.F, (1, 0)), (X((0, 1)), (0, 1))])
+        b = VField([(X((0, 1)), (0, 1))])
+        assert a - b == VField([(self.F, (1, 0))])
+        assert (a - a).is_zero()
+
+    def test_equality_with_another_type_is_false(self):
+        for x in (self.F, VField(), LaurentMatrix.identity(2, 2)):
+            assert x.__eq__("x") is NotImplemented
+            assert x != "x" and not x == 0
+
+
 class TestChartMembership:
     def test_first_quadrant(self):
         fan = quadrant_fan()
@@ -373,6 +403,15 @@ class TestFusedProduct:
         assert fused.entries[0][0].terms == {}
         assert fused.entries[1][0] == g * g
 
+    def test_cancelled_and_unreached_entries_share_the_empty_polynomial(self):
+        f, g = X((1, 0), Fraction(1, 2)) + X((0, -1), 3), X((2, 1), -2)
+        zero = LaurentPoly()
+        A = LaurentMatrix([[f, f], [g, zero]])
+        B = LaurentMatrix([[g, zero], [-g, zero]])  # entry (0, 0) cancels, column 1 is unreached
+        fused = A * B
+        assert [[a is laurent._ZERO for a in row] for row in fused.entries] == [[True, True],
+                                                                                 [False, True]]
+
     def test_integral_fraction_products_are_ints(self):
         half = LaurentMatrix([[X((0, 0), Fraction(1, 2))]])
         two = LaurentMatrix([[X((1, 0), 2)]])
@@ -396,7 +435,7 @@ def basis(dim):
 
 
 class TestFusedKernels:
-    """delta_products and mul_add against the compositions they replace."""
+    """delta_products against the compositions it replaces."""
 
     COEFFS = TestFusedProduct.COEFFS
 
@@ -430,36 +469,6 @@ class TestFusedKernels:
         with pytest.raises(DimensionError):
             delta_products(LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2), 2, left=True)
 
-    def test_mul_add_matches_product_plus_addend(self):
-        rng = random.Random(606)
-        for _ in range(150):
-            r = rng.choice([1, 2, 3])
-            C, M, Z = (draw_matrix(rng, r, 2, self.COEFFS) for _ in range(3))
-            fused = C.mul_add(M, Z)
-            assert fused == C * M + Z
-            assert canonical(fused)
-            assert C.mul_add(M) == C * M == reference_product(C, M)
-
-    def test_cancelling_addend_leaves_the_shared_empty_entry(self):
-        f, g = X((1, 0), Fraction(1, 2)) + X((0, -1), 3), X((2, 1), -2)
-        zero = LaurentPoly()
-        C = LaurentMatrix([[f, zero], [g, g]])
-        D = LaurentMatrix([[g, zero], [zero, f]])
-        Z = -(C * D)
-        fused = C.mul_add(D, Z)
-        assert fused.is_zero()
-        assert all(a is laurent._ZERO for row in fused.entries for a in row)
-        # an addend entry that no product term reaches is kept as it is
-        W = LaurentMatrix([[zero, f], [zero, zero]])
-        assert C.mul_add(D, Z + W) == W
-
-    def test_mul_add_size_mismatch(self):
-        two, three = LaurentMatrix.identity(2, 2), LaurentMatrix.identity(3, 2)
-        with pytest.raises(DimensionError):
-            two.mul_add(two, three)
-        with pytest.raises(DimensionError):
-            two.mul_add(three, two)
-
     def test_square_constructors_keep_their_results(self):
         rng = random.Random(707)
         A, B = draw_matrix(rng, 3, 2, self.COEFFS), draw_matrix(rng, 3, 2, self.COEFFS)
@@ -472,7 +481,7 @@ class TestFusedKernels:
 
 
 class TestConjugations:
-    """conjugations against two products and a sum, (C * X).mul_add(D, Z)."""
+    """conjugations against two products and a sum, C * X * D + Z."""
 
     COEFFS = TestFusedProduct.COEFFS
 
@@ -485,7 +494,7 @@ class TestConjugations:
             Xs = [draw_matrix(rng, r, 2, self.COEFFS) for _ in range(k)]
             Zs = [draw_matrix(rng, r, 2, self.COEFFS) for _ in range(k)]
             got = conjugations(C, Xs, D, Zs)
-            assert got == tuple((C * X).mul_add(D, Z) for X, Z in zip(Xs, Zs))
+            assert got == tuple(C * X * D + Z for X, Z in zip(Xs, Zs))
             assert all(canonical(M) for M in got)
             assert conjugations(C, Xs, D) == tuple(C * X * D for X in Xs)
             for M in Xs:
@@ -682,7 +691,7 @@ class TestVanishing:
             assert got == tuple(M == W for M, W in zip(built, Ws))
             assert vanishing(C, Xs, D, minus=[Ws]) == tuple(
                 M == W for M, W in zip(conjugations(C, Xs, D), Ws))
-            products = [C.mul_add(X, Z) for X, Z in zip(Xs, Zs)]
+            products = [C * X + Z for X, Z in zip(Xs, Zs)]
             assert vanishing(C, Xs, plus=[Zs], minus=[Ws]) == tuple(
                 M == W for M, W in zip(products, Ws))
             assert vanishing(C, Xs, plus=[Zs], minus=[products]) == (True,) * k
@@ -855,11 +864,11 @@ class TestPerTermCosts:
         vanishing(C, [M, U], D, [[Z, W]], [[W, Z]])
         vanishing(U, [inv, M], minus=[[LaurentMatrix.identity(2, 2), W]])
         constant_product(C, U)
-        results = [inv, C * M, C.mul_add(M, Z), *conjugations(C, [M, U], D, [Z, W]),
+        results = [inv, C * M, C * M + Z, *conjugations(C, [M, U], D, [Z, W]),
                    *delta_products(C, U, 2, left=True), *delta_products(U, D, 2, left=False),
                    U.shift_columns([(0, 0), (1, 0)]), U.scale(1)]
         for R in results:  # kernels on the results must not reach back into the inputs
-            R.mul_add(R, R)
+            R * R
             vanishing(R, [U], R, [[R]], [[U]])
         f * f + f.scale(Fraction(1, 2)) + f.shift((1, 1))
         after = [[[dict(g.terms) for g in row] for row in A.entries] for A in inputs]
@@ -892,7 +901,7 @@ class TestFlatRowCache:
                 laurent._sparse_rows(M)
             shifts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(r)]
             results = [A + B, A - B, -A, A.scale(Fraction(2, 3)), A.scale(0),
-                       A.shift_columns(shifts), A * B, A.mul_add(B, Z),
+                       A.shift_columns(shifts), A * B, A * B + Z,
                        *conjugations(A, [B, U], C), *conjugations(A, [B, U], C, [Z, A]),
                        *delta_products(A, B, dim, left=True),
                        *delta_products(A, B, dim, left=False), matrix_inverse_unit(U),

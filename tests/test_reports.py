@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from torlog import reports
 from torlog.fans import FanCheck
 from torlog.laurent import LaurentMatrix, LaurentPoly
 from torlog.reports import (
@@ -27,12 +26,16 @@ class TestPayloads:
         assert rational_parts(Fraction(5)) == (5, 1)
 
     def test_int_coefficients_build_no_fraction(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(reports, "Fraction", lambda c: built.append(c) or Fraction(c))
-        assert rational_parts(-7) == (-7, 1) and rational_parts(0) == (0, 1)
         p = LaurentPoly({(1, 0): 3, (0, 0): -1, (2, 1): Fraction(1, 2)})
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        assert rational_parts(-7) == (-7, 1) and rational_parts(0) == (0, 1)
         assert [(t["num"], t["den"]) for t in poly_payload(p)] == [(-1, 1), (3, 1), (1, 2)]
-        assert built == [Fraction(1, 2)]
+        # a canonical coefficient is read as it is; not even a Fraction is wrapped again
+        assert built == []
+        assert Fraction(1, 3) and built == [(1, 3)]  # the spy sees a Fraction being built
 
     def test_poly_terms_sorted_by_exponent(self):
         p = LaurentPoly({(1, 0): Fraction(1, 2), (-2, 3): 4, (0, 0): -1})

@@ -3,11 +3,14 @@ and a short benchmark run passes every exact gate of its workloads."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from torlog.splitting import InconsistentSplittingError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,6 +37,28 @@ def test_sweep_line_bundles_on_p2():
     proc = run_script("sweep_line_bundles.py", "--fan", "p2", "--max-degree", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "# 5/5 degrees split within the search budget"
+
+
+def load_script(name):
+    """A script under scripts/ imported as a module, to run its main in this process."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_line_bundles_reports_a_broken_gauge_law(monkeypatch, capsys):
+    sweep = load_script("sweep_line_bundles.py")
+
+    def broken(splitting, data):
+        raise InconsistentSplittingError("gauge law fails across pair (1,2)")
+
+    monkeypatch.setattr(sweep, "connection_from_splitting", broken)
+    assert sweep.main(["--fan", "p1", "--max-degree", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[4] for line in lines[2:5]] == ["BROKEN"] * 3
+    assert lines[-2:] == ["# 3/3 degrees split within the search budget",
+                          "# 3/3 found splittings fail the gauge law"]
 
 
 def test_sweep_line_bundles_reports_a_malformed_cap_as_a_usage_error(monkeypatch):
@@ -68,7 +93,7 @@ not a docstring"""
 ''', encoding="utf-8")
     proc = run_script("code_lines.py", str(module))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["6", "mod.py", "6", "total"]
+    assert proc.stdout.split() == ["6", "15", "mod.py", "6", "15", "total"]
 
 
 def test_benchmark_gates_pass_on_every_workload():

@@ -146,3 +146,8 @@ def test_the_attribute_scan_sees_reads_writes_and_strings():
     source = ("x = a._record\nb.c._kept = 1\ngetattr(d, '_named', None)\n"
               "def f():\n    '''A docstring.'''\n    return e.g\n")
     assert attribute_names(source) == {"_record", "c", "_kept", "_named", "A docstring.", "g"}
+
+
+def test_the_never_raised_error_and_the_addend_product_stay_deleted():
+    found = {path.stem: definitions(path.read_text(encoding="utf-8"))[0] for path in MODULES}
+    assert not [m for m, names in found.items() if {"NoSolutionError", "mul_add"} & names]
