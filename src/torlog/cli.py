@@ -172,12 +172,14 @@ def _parse_bundle(raw, fan: Fan) -> EquivariantData:
     _expect(set(raw) == {"rank", "weights"}, "bundle must have exactly the keys rank/weights")
     rank = _as_int(raw["rank"], "bundle.rank")
     _expect(isinstance(raw["weights"], dict), "bundle.weights must be an object")
-    weights = {}
+    weights, keys = {}, {}
     for key, rows in raw["weights"].items():
         try:
             ci = int(key)
         except ValueError:
             raise ModelParseError(f"bundle.weights key {key!r} is not a cone id") from None
+        first = keys.setdefault(ci, key)
+        _expect(first == key, f"bundle.weights keys {first!r} and {key!r} both name cone {ci}")
         if not 0 <= ci < len(fan.cones):
             raise ModelInvalidError(f"bundle.weights references missing cone {ci}")
         _expect(isinstance(rows, list), f"bundle.weights[{key}] must be an array")
@@ -194,6 +196,7 @@ def _parse_transitions(raw, fan: Fan, bundle: EquivariantData | None) -> Transit
     _expect(isinstance(raw, dict) and raw, "transitions must be a nonempty object")
     maximal = set(fan.maximal_cone_indices())
     one_sided: dict[tuple[int, int], LaurentMatrix] = {}
+    keys: dict[tuple[int, int], str] = {}
     rank = None
     for key, mat in raw.items():
         parts = key.split(",")
@@ -202,6 +205,8 @@ def _parse_transitions(raw, fan: Fan, bundle: EquivariantData | None) -> Transit
             s, t = int(parts[0]), int(parts[1])
         except ValueError:
             raise ModelParseError(f"transitions key {key!r} must name two cone ids") from None
+        first = keys.setdefault((s, t), key)
+        _expect(first == key, f"transitions keys {first!r} and {key!r} both name the pair {s},{t}")
         if not (0 <= s < len(fan.cones) and 0 <= t < len(fan.cones)):
             raise ModelInvalidError(f"transitions key {key!r} references a missing cone")
         if s == t or s not in maximal or t not in maximal:
@@ -240,7 +245,7 @@ def load_model(path: str) -> ModelFile:
             raw = json.load(fh)
     except OSError as exc:
         raise ModelParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, deep nesting
         raise ModelParseError(f"{path} is not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "model must be a JSON object")
     required = {"rank_n", "rays", "cones", "declared_complete"}

@@ -47,11 +47,13 @@ and for every triple
 
     C_st C_tu = C_sr C_rt C_tr C_ru = C_sr C_ru = C_su.
 
-:func:`check_triple_identity` reduces the same way.  Write X^st for
-C_st X C_ts and T(s,t,u) for A_su = A_st + A_tu^st.  By the cocycle law
+The triple identity reduces the same way.  Write X^st for C_st X C_ts
+and T(s,t,u) for A_su = A_st + A_tu^st.  :func:`reduction_holds` is the
+one predicate of this reduction: the root-chart law, frame antisymmetry
+and T(s,t,r) for s < t, both != r, in that order.  By the cocycle law
 (X^tu)^st = X^su, and antisymmetry on s < t, A_ts = -A_st^ts, gives
-A_st = -A_ts^st by conjugating with st.  Given the root-chart law,
-antisymmetry and T(s,t,r) checked for s < t, both != r, the rest follow:
+A_st = -A_ts^st by conjugating with st.  Given the three facts, the rest
+follow:
 
 * r last, s > t: conjugating T(t,s,r) with st gives
   A_tr^st = A_ts^st + A_sr = -A_st + A_sr, which is T(s,t,r).
@@ -63,11 +65,15 @@ antisymmetry and T(s,t,r) checked for s < t, both != r, the rest follow:
 * r in the middle: A_ru^sr = -A_ur^su, so T(s,u,r) reads
   A_su = A_sr + A_ru^sr, which is T(s,r,u).
 
-When any of these facts fails, every triple is enumerated, so the failure
-details name the same triples as a full check.
+Every triple through the root is among all triples, so given the law and
+antisymmetry, :func:`reduction_holds` is true exactly when every triple
+holds.  :func:`check_triple_identity` lists the passes when it is true and
+otherwise enumerates every triple, so the failure details name the same
+triples as a full check; the solver's gate (``splitting._require_splitting``)
+reads it to tell a faulty solve from a broken input.
 
-:func:`check_triple_identity` needs the root-chart law and antisymmetry,
-and each is proved once per object: :func:`validate_transitions` records
+The reduction needs the root-chart law and antisymmetry, and each is
+proved once per object: :func:`validate_transitions` records
 the law on the transitions (it always proves it; the gate never reads its
 own record) and :func:`check_frame_antisymmetry` records its checks on
 the cocycle.  A record is served only while every input it read is the
@@ -181,11 +187,9 @@ def validate_transitions(data: TransitionData) -> list[FanCheck]:
     inverse_bad, triple_bad = [], []
     if not through_root:
         inverse_bad = _inverse_pairing_fails(data)
-        for s, t in itertools.permutations(maximal, 2):
-            thirds = [u for u in maximal if u != s and u != t]
-            ok = vanishing(data.pair(s, t), [data.pair(t, u) for u in thirds],
-                           minus=[[data.pair(s, u) for u in thirds]])
-            triple_bad += [(s, t, u) for u, holds in zip(thirds, ok) if not holds]
+        triple_bad = [(s, t, u) for s, t, u in itertools.permutations(maximal, 3)
+                      if not vanishing(data.pair(s, t), (data.pair(t, u),),
+                                       minus=[(data.pair(s, u),)])[0]]
     checks.append(
         FanCheck("inverse_pairing", "fail" if inverse_bad else "pass",
                  f"C_st * C_ts != identity on pairs {inverse_bad}" if inverse_bad else "")
@@ -375,39 +379,35 @@ def triples_through_root(cocycle: MatrixCocycle, data: TransitionData) -> bool:
                for s, t in itertools.combinations(maximal[:-1], 2))
 
 
+def reduction_holds(cocycle: MatrixCocycle, data: TransitionData) -> bool:
+    """The root-chart law, frame antisymmetry and T(s, t, r) for s < t, in that order.
+
+    The law and antisymmetry are read from their records while the objects
+    are unchanged.  True exactly when the law, antisymmetry and every triple
+    hold (module docstring).
+    """
+    return (recorded_root_chart_law(data)
+            and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
+            and triples_through_root(cocycle, data))
+
+
 def check_triple_identity(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
     """Frame-adjusted cocycle identity A_su = A_st + C_st A_tu C_ts on all triples.
 
-    With the root-chart law and frame antisymmetry, each read from its
-    record when the objects are unchanged, the triples T(s, t, r) through
-    the root chart for s < t stand for all (module docstring).  The guards
-    come first: without them those triples prove nothing of the rest.
-    Otherwise every triple is enumerated; the checks come out in
-    ``permutations`` order.
+    Passes when :func:`reduction_holds`, else every triple enumerated; the
+    checks come out in ``permutations`` order either way (module docstring).
+    Fewer than three charts give no triple.
     """
     if len(data.maximal()) < 3:
         return []
-    if (recorded_root_chart_law(data)
-            and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
-            and triples_through_root(cocycle, data)):
+    if reduction_holds(cocycle, data):
         return triple_passes(data)
     return _enumerated_triples(cocycle, data)
 
 
 def _enumerated_triples(cocycle: MatrixCocycle, data: TransitionData) -> list[FanCheck]:
-    """Every triple: one batch of zero tests per ordered pair (s, t), over every third u."""
-    maximal = data.maximal()
-    pairs = cocycle.pairs
-    checks = []
-    for s, t in itertools.permutations(maximal, 2):
-        thirds = [u for u in maximal if u != s and u != t]
-        # (A_st, A_tu, A_su) for every third chart u and basis vector
-        slots = {u: list(zip(pairs[(s, t)], pairs[(t, u)], pairs[(s, u)])) for u in thirds}
-        batch = [z for u in thirds for z in slots[u]]
-        got = iter(vanishing(data.pair(s, t), [Atu for _, Atu, _ in batch], data.pair(t, s),
-                             plus=[[Ast for Ast, _, _ in batch]],
-                             minus=[[Asu for _, _, Asu in batch]]))
-        for u in thirds:
-            ok = all([next(got) for _ in slots[u]])  # a list: consume them all
-            checks.append(_triple(s, t, u, ok))
-    return checks
+    """Every triple: one batch of zero tests over the basis per ordered triple."""
+    A = cocycle.pairs
+    return [_triple(s, t, u, all(vanishing(data.pair(s, t), A[(t, u)], data.pair(t, s),
+                                           plus=[A[(s, t)]], minus=[A[(s, u)]])))
+            for s, t, u in itertools.permutations(data.maximal(), 3)]

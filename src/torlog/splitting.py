@@ -70,7 +70,7 @@ from .cocycles import (
     check_frame_antisymmetry,
     check_triple_identity,
     evaluate_linear,
-    recorded_root_chart_law,
+    reduction_holds,
     triple_passes,
     validate_transitions,
 )
@@ -357,28 +357,18 @@ def _require_splitting(cochain, cocycle, data):
 
     A candidate outside its chart rings is a solver fault, which raises
     RuntimeError.  One that fails verification is a miss (None) when the
-    input breaks an identity the root-chart reduction rests on; otherwise
-    the solver is at fault again.
+    input breaks the root-chart reduction
+    (:func:`~torlog.cocycles.reduction_holds`); otherwise the solver is at
+    fault again.
     """
     if not all(matrix_chart_member(g, data.fan.cones[ci], data.fan)
                for ci, mats in cochain.cones.items() for g in mats):
         raise RuntimeError("graded solver returned a cochain outside its chart rings")
     if verify_splitting(cochain, cocycle, data):
         return cochain
-    if not _reduction_holds(cocycle, data):
+    if not reduction_holds(cocycle, data):
         return None
     raise RuntimeError("graded solver returned a cochain that fails its own equation")
-
-
-def _reduction_holds(cocycle, data) -> bool:
-    """The root-chart law, frame antisymmetry and the triple identity, which the reduction rests on.
-
-    The law and antisymmetry are read from their records while the objects
-    are unchanged (``cocycles`` docstring).
-    """
-    return (recorded_root_chart_law(data)
-            and all(c.ok for c in check_frame_antisymmetry(cocycle, data))
-            and all(c.ok for c in check_triple_identity(cocycle, data)))
 
 
 def equivariant_splitting(data: EquivariantData) -> MatrixCochain:

@@ -239,6 +239,54 @@ class TestParseErrors:
         assert "validate" in out
 
 
+
+class TestUndecodableJson:
+    """Inputs the JSON reader refuses with other errors than JSONDecodeError: exit 2, one line."""
+
+    @pytest.mark.parametrize("content", [
+        b'{"rank_n": 1, "name": "\xff\xfe"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"rank_n": ' + b"1" * 4301 + b"}",
+    ], ids=["not-utf8", "nested-100000-deep", "integer-of-4301-digits"])
+    def test_exits_two_with_one_line(self, capsys, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, ["validate", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"torlog: {path} is not valid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestRepeatedKeys:
+    """Two keys that read as the same cone or ordered pair are refused, naming both (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["validate", "equivariance"])
+    @pytest.mark.parametrize("block, key, repeat, message", [
+        ("bundle", "4", "04", "bundle.weights keys '4' and '04' both name cone 4"),
+        ("bundle", "4", " 4", "bundle.weights keys '4' and ' 4' both name cone 4"),
+        ("transitions", "4,5", "04,5", "transitions keys '4,5' and '04,5' both name the pair 4,5"),
+        ("transitions", "4,5", "4, +5",
+         "transitions keys '4,5' and '4, +5' both name the pair 4,5"),
+    ], ids=["weights-leading-zero", "weights-space", "transitions-leading-zero",
+            "transitions-sign"])
+    def test_exit_code_and_message(self, capsys, tmp_path, command, block, key, repeat, message):
+        model = json.loads((MODELS / "p2_rank2.json").read_text(encoding="utf-8"))
+        table = model["bundle"]["weights"] if block == "bundle" else model["transitions"]
+        table[repeat] = table[key]
+        got, out, err = run_cli(capsys, [command, write_model(tmp_path, model)])
+        assert (got, out, err) == (2, "", f"torlog: {message}\n")
+
+    def test_both_directions_of_a_pair_are_not_a_repeat(self, capsys, tmp_path):
+        model = json.loads((MODELS / "p2_rank2.json").read_text(encoding="utf-8"))
+        path = write_model(tmp_path, model)
+        reverse = load_model(path).transitions.pair(5, 4)
+        model["transitions"]["5,4"] = [
+            [[{"exponent": list(e), "num": c.numerator, "den": c.denominator}
+              for e, c in sorted(f.terms.items())] for f in row] for row in reverse.entries]
+        code, _, err = run_cli(capsys, ["validate", write_model(tmp_path, model, "both.json")])
+        assert code == 0 and err == ""
+
+
 class TestInvalidModels:
     def test_duplicate_cones_exit_three(self, capsys, tmp_path):
         model = p1_fan_block()

@@ -290,7 +290,7 @@ def reference_obstruction(data):
 
 
 def reference_antisymmetry(cocycle, data):
-    """Each conjugation as two products and a negation, as before mul_add."""
+    """Each conjugation as two products and a negation, built with no fused kernel."""
     return [(s, t, all(Mts == -(data.pair(t, s) * Mst * data.pair(s, t))
                        for Mst, Mts in zip(cocycle.pairs[(s, t)], cocycle.pairs[(t, s)])))
             for s, t in sorted(cocycle.pairs) if s < t]
@@ -321,7 +321,7 @@ def verdicts(checks):
 
 
 class TestFusedPipelines:
-    """The one-pass cocycles and the mul_add checks against the compositions they replace."""
+    """The one-pass cocycles and the zero-test checks against the compositions they replace."""
 
     def test_cocycles_match_reference_over_ladder(self):
         for td in ladder_draws(71):

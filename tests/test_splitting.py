@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -926,6 +927,62 @@ class TestCertificateFirst:
         assert len(checks) == 7
         assert checks[-1].status == "undetermined" and "cap -1, 0 weights" in checks[-1].detail
         assert not result.found and result.weight_cap == -1
+
+
+def reduction_cases():
+    """(transitions, cocycle) pairs: ladder draws, ungated scaled transitions, perturbed cocycles.
+
+    A cocycle is perturbed on one ordered pair, which breaks antisymmetry,
+    or antisymmetrically, which on three or more charts breaks only triples.
+    """
+    rng = random.Random(1111)
+    for fan in ladder_fans():
+        for rank in (1, 2, 3):
+            td = dressed_draw(fan, rank, rng)
+            yield td, atiyah_cocycle(td)
+        # the inverse pairing holds on every pair, the cocycle law fails; the cocycle is unchanged
+        for s, t in itertools.combinations(td.maximal(), 2):
+            scaled = TransitionData(td.fan, td.rank, dict(td.matrices))
+            scaled.matrices[(s, t)] = td.pair(s, t).scale(3)
+            scaled.matrices[(t, s)] = td.pair(t, s).scale(Fraction(1, 3))
+            yield scaled, atiyah_cocycle(scaled)
+    for fan in (projective_fan(1), projective_fan(2), product_p1_fan(), projective_fan(3)):
+        td = dressed_draw(fan, 2, random.Random(909))
+        maximal = td.maximal()
+        E = LaurentMatrix([[LaurentPoly(), X((1,) + (0,) * (fan.dim - 1))],
+                           [LaurentPoly.const(3, fan.dim), LaurentPoly()]])
+        for pair in sorted({(maximal[0], maximal[1]), (maximal[0], maximal[-1]),
+                            (maximal[-1], maximal[1])} & set(td.matrices)):
+            yield td, perturbed_cocycle(pair, E)(td)
+        yield td, antisymmetric_perturbation(td, E)
+
+
+class TestReductionPredicate:
+    """reduction_holds: the root-chart law, antisymmetry and every triple, decided in that order."""
+
+    def test_matches_law_antisymmetry_and_every_triple(self, monkeypatch):
+        seen = set()
+        for td, A in reduction_cases():
+            facts = (cocycles_mod.root_chart_law(td),
+                     all(c.ok for c in check_frame_antisymmetry(A, td)),
+                     all(c.ok for c in enumerated_triples(A, td, monkeypatch)))
+            seen.add(facts)
+            assert cocycles_mod.reduction_holds(A, td) == all(facts), facts
+        assert {(True, True, True), (False, True, True), (True, True, False),
+                (True, False, False)} <= seen
+
+    def test_a_failing_law_decides_before_the_cocycle_is_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read past a failing root-chart law")
+
+        td = dressed_draw(projective_fan(2), 2, random.Random(1112))
+        s, t = td.maximal()[:2]
+        td.matrices[(s, t)] = td.pair(s, t).scale(3)
+        td.matrices[(t, s)] = td.pair(t, s).scale(Fraction(1, 3))
+        A = atiyah_cocycle(td)
+        for name in ("check_frame_antisymmetry", "triples_through_root"):
+            monkeypatch.setattr(cocycles_mod, name, refuse)
+        assert not cocycles_mod.reduction_holds(A, td)
 
 
 def count_shift_builds(monkeypatch):

@@ -151,3 +151,30 @@ def test_the_attribute_scan_sees_reads_writes_and_strings():
 def test_the_never_raised_error_and_the_addend_product_stay_deleted():
     found = {path.stem: definitions(path.read_text(encoding="utf-8"))[0] for path in MODULES}
     assert not [m for m, names in found.items() if {"NoSolutionError", "mul_add"} & names]
+
+
+def named(source: str) -> set[str]:
+    """Every name one module's source reads, binds, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_cocycles_reads_the_root_reduction_parts():
+    found = {path.stem: named(path.read_text(encoding="utf-8")) for path in MODULES}
+    for name in ("recorded_root_chart_law", "triples_through_root"):
+        assert [m for m, names in found.items() if name in names] == ["cocycles"], name
+
+
+def test_the_name_scan_sees_imports_attributes_and_calls():
+    source = ("from .cocycles import a as b\nimport c\nx = d.e\nf(g)\n"
+              "def h():\n    pass\n")
+    assert named(source) == {"a", "b", "c", "x", "d", "e", "f", "g", "h"}
