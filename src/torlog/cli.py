@@ -238,11 +238,26 @@ def _parse_transitions(raw, fan: Fan, bundle: EquivariantData | None) -> Transit
         raise ModelInvalidError(f"cannot invert a one-sided transition: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key written twice in it is refused, naming the key.
+
+    ``json`` would keep the last value of a repeated key and drop the others
+    without a word.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _expect(key not in seen, f"key {key!r} is written twice in one JSON object")
+            seen.add(key)
+    return obj
+
+
 def load_model(path: str) -> ModelFile:
     """Parse and validate a model file; see the module docstring for errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ModelParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, deep nesting

@@ -33,6 +33,23 @@ against the defining equation, independently of the solve: one exact zero
 test of C_st g_t C_ts - g_s - A_st per ordered pair (``laurent.vanishing``);
 "not found" only means: nothing in the searched graded space.
 
+Reach.  Each solve eliminates only the rows a right-hand side reaches: the
+rows where an off-chart term of A_{t s0} gives a nonzero right-hand side,
+closed under "shares an unknown with".  Gauss-Jordan never mixes two
+components of the row-unknown graph: a row is reduced only by pivot rows
+whose pivot it holds, and a new pivot is cleared only from rows that hold
+it.  Each component is therefore eliminated as if alone, in the same row
+order with the same pivot choice (the lowest unknown), so the reached
+components give the same pivots and quotients with or without the others.
+An unreached component has a zero right-hand side: it is consistent, and
+with its free unknowns zero every one of its pivots is zero too.  So
+leaving it out leaves the particular solution unchanged (its unknowns stay
+zero), and every miss too, since only a reached row can be inconsistent.
+When no term of any A_{t s0} lies outside chart(t) nothing is reached, no
+row is built and g_{s0} is zero.  A left-kernel certificate of a miss, a y
+with y M = 0 and y b != 0 over the reached rows, is one for the whole
+system once y is extended by zero.
+
 Past the gate.  :func:`equivariance_verdict` and the ``split`` command
 first run :func:`~torlog.cocycles.validate_transitions`, which proves
 C_ts C_st = 1 and C_st C_tu = C_su on every pair and triple.  Past it,
@@ -224,10 +241,11 @@ def split_cocycle(cocycle: MatrixCocycle, data: TransitionData, cap=None,
 def _solve_graded(cocycle, data, weights):
     """Solve for g on the root chart s0 = maximal[-1]; None if the system is inconsistent.
 
-    Three phases: :func:`_graded_system` builds the rows,
-    :func:`~torlog.linalg.eliminate` reduces them in sorted key order, and
-    :func:`_assemble` reads g_{s0} off the pivots and conjugates it into
-    every other chart.
+    Five phases: :func:`_right_hand_sides` reads the right-hand sides off
+    A_{t s0}, :func:`_graded_system` builds the rows, :func:`_reached` keeps
+    those a right-hand side reaches, :func:`~torlog.linalg.eliminate`
+    reduces them in sorted key order, and :func:`_assemble` reads g_{s0}
+    off the pivots and conjugates it into every other chart.
 
     The unknowns are the entries of g_{s0} at the weights of W in chart(s0).
     The equation on (t, s0) defines g_t = C_{t s0} g_{s0} C_{s0 t} - A_{t s0},
@@ -248,70 +266,127 @@ def _solve_graded(cocycle, data, weights):
     the last cone, free; with the root last, the same unknowns are free and
     set to zero here, so the particular solution is almost always the same
     too (every bundled model; 139 of 140 seeded ladder draws).
+
+    Only the rows a right-hand side reaches are eliminated (module
+    docstring, *Reach*); with no right-hand side at all no row is built.
+    An unreached unknown stays zero, as the whole elimination leaves it:
+    its component has a zero right-hand side, so its pivots are zero once
+    its free unknowns are.  A miss is unchanged: a component with a zero
+    right-hand side is never inconsistent.  The reached components reduce
+    as they would among the others, so the pivots and quotients are the
+    same too.
     """
-    unknowns, rows = _graded_system(cocycle, data, weights)
-    solved = eliminate(rows)
+    rhs = _right_hand_sides(cocycle, data)
+    if not rhs:
+        return _assemble(cocycle, data, [], {})  # homogeneous: every pivot is zero
+    unknowns, index, entries, columns = _graded_system(cocycle, data, weights, rhs)
+    zero = [0] * data.fan.dim
+    solved = eliminate([(entries[index[key]], rhs.get(key, zero))
+                        for key in _reached(index, entries, columns, len(rhs))])
     if solved is None:
         return None  # inconsistent within the graded space
     return _assemble(cocycle, data, unknowns, solved[0])
 
 
-def _graded_system(cocycle, data, weights):
-    """The unknowns (i, j, w) of g_{s0} in index order, and the (row, rhs) pairs in key order.
+def _right_hand_sides(cocycle, data):
+    """The right-hand side of each row keyed (t, p, q, m), one column per basis vector.
 
-    A row is keyed (t, p, q, m): the coefficient of g_t[p][q] at an exponent
-    m outside chart(t), with one right-hand column per basis vector.
+    A row has one when A_{t s0}[p][q] has a term at m outside chart(t); each
+    term is nonzero, so every right-hand side listed is nonzero.
     """
     fan = data.fan
-    n = fan.dim
-    vadd = vec_adder(n)
+    maximal = data.maximal()
+    root = maximal[-1]
+    rhs: dict[tuple, list[Coeff]] = {}
+    for t in maximal[:-1]:
+        rays = fan.ray_matrix(fan.cones[t])
+        for b, A in enumerate(cocycle.pairs[(t, root)]):
+            for p, row in enumerate(A.entries):
+                for q, f in enumerate(row):
+                    for m, c in f.terms.items():
+                        if not in_chart(m, rays):
+                            rhs.setdefault((t, p, q, m), [0] * fan.dim)[b] += c
+    return rhs
+
+
+def _graded_system(cocycle, data, weights, rhs):
+    """The graded system: unknowns, row numbers by key, each row's entries, each unknown's rows.
+
+    A row is keyed (t, p, q, m), the coefficient of g_t[p][q] at an exponent
+    m outside chart(t); the keys of ``rhs`` are rows 0, 1, ... in its order
+    and the rest follow as they are met.  ``entries[i]`` maps the unknowns
+    of row i to their coefficients.  The unknowns (k, l, w) are in index
+    order, number (k r + l) |W0| + (index of w in W0) with W0 the weights in
+    chart(s0), and ``columns[var]`` lists the rows that unknown enters.
+    """
+    fan = data.fan
+    vadd = vec_adder(fan.dim)
     r = data.rank
     maximal = data.maximal()
     root = maximal[-1]
     root_rays = fan.ray_matrix(fan.cones[root])
     root_weights = [w for w in weights if in_chart(w, root_rays)]
     unknowns = list(product(range(r), range(r), root_weights))
-    var_of = {u: var for var, u in enumerate(unknowns)}
-    system: dict[tuple, tuple[dict[int, Coeff], list[Coeff]]] = {}
+    columns: list[list[int]] = [[] for _ in unknowns]
+    index = {key: i for i, key in enumerate(rhs)}
+    entries: list[dict[int, Coeff]] = [{} for _ in rhs]
 
     for t in maximal[:-1]:
         rays = fan.ray_matrix(fan.cones[t])
         outside: dict[IntVec, bool] = {}
-
-        def off_chart(m):
-            off = outside.get(m)
-            if off is None:
-                off = outside[m] = not in_chart(m, rays)
-            return off
-
-        # g_{s0} conjugated into chart t: a term pair of C_{t s0}[p][k] and C_{s0 t}[l][q]
-        # carries unknown (k, l, w) to entry (p, q) at e1 + e2 + w; only exponents
-        # outside chart(t) give rows
+        # g_{s0} conjugated into chart t: C_{t s0}[p][k] C_{s0 t}[l][q] carries unknown
+        # (k, l, w) to entry (p, q) at mc + w for each exponent mc of that product,
+        # its term pairs summed first, so each unknown enters a row once; only
+        # exponents outside chart(t) give rows
         right = _sparse_rows(data.pair(root, t))
         for p, terms in enumerate(_sparse_rows(data.pair(t, root))):
+            products: dict[tuple, Coeff] = {}
             for k, e1, c1 in terms:
                 for l in range(r):
+                    first = (k * r + l) * len(root_weights)
                     for q, e2, c2 in right[l]:
-                        mc, c = vadd(e1, e2), c1 * c2
-                        for w in root_weights:
-                            m = vadd(mc, w)
-                            if not off_chart(m):
-                                continue
-                            var = var_of[(k, l, w)]
-                            row = system.setdefault((t, p, q, m), ({}, [0] * n))[0]
-                            nv = row.get(var, 0) + c
-                            if nv:
-                                row[var] = nv
-                            else:
-                                row.pop(var, None)
-        # right-hand side: A_{t s0}, one column per basis vector
-        for b, A in enumerate(cocycle.pairs[(t, root)]):
-            for p in range(r):
-                for q in range(r):
-                    for m, c in A.entries[p][q].terms.items():
-                        if off_chart(m):
-                            system.setdefault((t, p, q, m), ({}, [0] * n))[1][b] += c
-    return unknowns, [system[key] for key in sorted(system)]
+                        key = (q, first, vadd(e1, e2))
+                        products[key] = products.get(key, 0) + c1 * c2
+            for (q, var, mc), c in products.items():
+                if not c:
+                    continue
+                for w in root_weights:  # var is unknown (k, l, w): first + index of w
+                    m = vadd(mc, w)
+                    off = outside.get(m)
+                    if off is None:
+                        off = outside[m] = not in_chart(m, rays)
+                    if off:
+                        key = (t, p, q, m)
+                        i = index.get(key)
+                        if i is None:
+                            i = index[key] = len(entries)
+                            entries.append({var: c})
+                        else:
+                            entries[i][var] = c
+                        columns[var].append(i)
+                    var += 1
+    return unknowns, index, entries, columns
+
+
+def _reached(index, entries, columns, sources):
+    """The keys of the rows that rows 0 .. sources - 1 reach through shared unknowns, sorted.
+
+    A graph search moving from a row to its unknowns and from an unknown to
+    its rows (``columns``); every row it reaches joins the elimination.
+    """
+    seen = bytearray(len(entries))
+    done = bytearray(len(columns))
+    todo = list(range(sources))
+    seen[:sources] = b"\x01" * sources
+    while todo:
+        for var in entries[todo.pop()]:
+            if not done[var]:
+                done[var] = 1
+                for i in columns[var]:
+                    if not seen[i]:
+                        seen[i] = 1
+                        todo.append(i)
+    return sorted(key for key, i in index.items() if seen[i])
 
 
 def _assemble(cocycle, data, unknowns, pivots):

@@ -287,6 +287,35 @@ class TestRepeatedKeys:
         assert code == 0 and err == ""
 
 
+class TestKeysWrittenTwice:
+    """A key written twice in one JSON object is refused, naming the key (exit 2)."""
+
+    P2_RANK2 = (MODELS / "p2_rank2.json").read_text(encoding="utf-8")
+    CASES = {
+        # a first "4,5" entry holding the 4,6 matrix, ahead of the real one
+        "transitions": ('"transitions":{"4,5":', '"transitions":{"4,5":[[[{"den":1,"exponent":'
+                        '[-4,0],"num":1}],[]],[[],[{"den":1,"exponent":[-5,0],"num":1}]]],"4,5":',
+                        "'4,5'"),
+        "term": ('"exponent":[0,-4],"num":1}', '"exponent":[0,-4],"num":1,"num":2}', "'num'"),
+        "top-level": ('"rank_n":2,', '"rank_n":2,"rank_n":2,', "'rank_n'"),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "equivariance"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_and_message(self, capsys, tmp_path, command, case):
+        old, new, key = self.CASES[case]
+        assert self.P2_RANK2.count(old) == 1
+        path = tmp_path / "model.json"
+        path.write_text(self.P2_RANK2.replace(old, new), encoding="utf-8")
+        got, out, err = run_cli(capsys, [command, str(path)])
+        assert (got, out, err) == (2, "", f"torlog: key {key} is written twice in one JSON object\n")
+
+    def test_the_same_key_in_different_objects_is_not_a_repeat(self, capsys):
+        # every term object of p2_rank2 has the keys den, exponent and num
+        code, _, err = run_cli(capsys, ["validate", str(MODELS / "p2_rank2.json")])
+        assert code == 0 and err == ""
+
+
 class TestInvalidModels:
     def test_duplicate_cones_exit_three(self, capsys, tmp_path):
         model = p1_fan_block()

@@ -485,7 +485,7 @@ class TestConjugations:
 
     COEFFS = TestFusedProduct.COEFFS
 
-    def test_matches_product_then_mul_add(self):
+    def test_matches_products_then_a_sum(self):
         rng = random.Random(808)
         cancelled = 0
         for _ in range(120):
@@ -676,7 +676,7 @@ class TestVanishing:
 
     COEFFS = TestFusedProduct.COEFFS
 
-    def test_parity_with_conjugations_and_mul_add(self):
+    def test_parity_with_conjugations_and_sums(self):
         rng = random.Random(1212)
         outcomes = set()
         for _ in range(150):

@@ -72,6 +72,22 @@ def test_sweep_line_bundles_reports_a_malformed_cap_as_a_usage_error(monkeypatch
     assert proc.returncode == 0, proc.stderr
 
 
+def test_graded_sizes_counts_the_reached_rows():
+    proc = run_script("graded_sizes.py", "--fans", "P1", "P2", "--ranks", "1", "3",
+                      "--seeds", "0", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "# depth-0 graded systems, seeds 0-2, 1 dressing factor(s)"
+    assert [line.split()[0] for line in lines[2:]] == ["P1/r1", "P1/r3", "P2/r1", "P2/r3", "total"]
+    counts = [[int(x) for x in line.split()[1:] if not x.endswith(("%", "-"))] for line in lines[2:]]
+    assert [sum(col) for col in zip(*counts[:-1])] == counts[-1]
+    for systems, no_rhs, rows, rows_reached, unknowns, unknowns_reached in counts:
+        assert no_rhs <= systems and rows_reached <= rows and unknowns_reached <= unknowns
+    # rank 1: every A_{t s0} is constant, so no system has a right-hand side or a row
+    assert counts[0][:4] == counts[2][:4] == [3, 3, 0, 0]
+    assert counts[1][3] > 0 and counts[3][3] > 0
+
+
 def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text(
