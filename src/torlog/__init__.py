@@ -18,7 +18,6 @@ from .bundles import (
     connection_form,
     elementary_symmetric,
     invariant_section,
-    is_compatible,
     recover_weights,
     residue,
     residue_chern_check,
@@ -42,7 +41,6 @@ from .fans import (
     build_fan,
     cone_is_smooth,
     hirzebruch_fan,
-    is_face,
     pairing,
     primitivize,
     product_p1_fan,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from operator import index, mul
 
 from .fans import Fan, FanCheck, IntVec, cone_is_smooth, pairing, ray_inverse
-from .laurent import LaurentMatrix, LaurentPoly, chart_member, delta_apply
+from .laurent import LaurentMatrix, LaurentPoly, delta_apply
 
 
 class UnderdeterminedError(ValueError):
@@ -78,9 +78,6 @@ class EquivariantData:
                 for x in w:
                     index(x)  # a float or a str raises TypeError
 
-    def cone_weights(self, cone_index: int) -> tuple[IntVec, ...]:
-        return self.weights[cone_index]
-
 
 def _face_restrictions(data: EquivariantData):
     """(s, t, face, restr_s, restr_t) for each pair s < t of maximal cones.
@@ -116,10 +113,6 @@ def check_compatibility(data: EquivariantData) -> list[FanCheck]:
             detail += f": restrictions differ, {restr_s} vs {restr_t}"
         checks.append(FanCheck(f"compatibility[{s},{t}]", "pass" if ok else "fail", detail))
     return checks
-
-
-def is_compatible(data: EquivariantData) -> bool:
-    return all(c.ok for c in check_compatibility(data))
 
 
 @dataclass(frozen=True)
@@ -237,11 +230,6 @@ def invariant_section(data: EquivariantData, cone_index: int, i: int) -> EigenSe
     coeffs = [LaurentPoly() for _ in range(data.rank)]
     coeffs[i] = LaurentPoly.monomial(data.weights[cone_index][i])
     return EigenSection(cone_index, tuple(coeffs))
-
-
-def section_in_chart(data: EquivariantData, section: EigenSection) -> bool:
-    cone = data.fan.cones[section.cone_index]
-    return all(chart_member(f, cone, data.fan) for f in section.coeffs)
 
 
 # ---------------------------------------------------------------------------

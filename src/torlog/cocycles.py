@@ -90,7 +90,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .fans import DimensionError, Fan, FanCheck, IntVec
+from .fans import Fan, FanCheck
 from .laurent import (
     LaurentMatrix,
     constant_product,
@@ -254,21 +254,6 @@ def recorded_root_chart_law(data: TransitionData, reuse: bool = True) -> bool:
     return _kept(data, _transition_inputs(data), lambda: root_chart_law(data), reuse)
 
 
-def evaluate_linear(mats, v: IntVec, rank: int) -> LaurentMatrix:
-    """The value at v of an N-linear matrix family given on the basis: sum v_b * M_b.
-
-    A vector whose length is not the number of basis matrices raises
-    DimensionError.
-    """
-    if len(v) != len(mats):
-        raise DimensionError(f"a vector of length {len(v)} for {len(mats)} basis matrices")
-    acc = LaurentMatrix.zero(rank)
-    for c, M in zip(v, mats):
-        if c:
-            acc = acc + M.scale(c)
-    return acc
-
-
 @dataclass
 class MatrixCocycle:
     """An N-linear matrix 1-cochain on overlaps: one matrix per basis vector."""
@@ -276,9 +261,6 @@ class MatrixCocycle:
     fan: Fan
     rank: int
     pairs: dict[tuple[int, int], tuple[LaurentMatrix, ...]]
-
-    def evaluate(self, s: int, t: int, v: IntVec) -> LaurentMatrix:
-        return evaluate_linear(self.pairs[(s, t)], v, self.rank)
 
 
 def atiyah_cocycle(data: TransitionData) -> MatrixCocycle:

@@ -8,9 +8,9 @@ exact equality without reference outputs:
   ray), solved cone by cone against the ray generators — restrictions to a
   shared face then agree automatically, line by line.  The inverse ray
   matrix is :func:`torlog.fans.ray_inverse`, one exact elimination against
-  the identity, cached there; on a unimodular cone it is integral, and the
-  solve stays in int arithmetic; each coordinate is made canonical, and
-  one that is not an integer raises;
+  the identity, cached there; a cone that is not smooth and full-dimensional
+  is refused, so it is integral and the solve stays in int arithmetic; each
+  coordinate is made canonical, and one that is not an integer raises;
 * transition matrices are dressed diagonals H_s * diag(chi^(m_s - m_t)) * H_t^{-1}
   with unitriangular H's over the chart rings, which satisfies the cocycle
   law on every triple by construction.  The diagonal is applied as a column
@@ -25,28 +25,31 @@ from operator import mul
 
 from .bundles import EquivariantData
 from .cocycles import TransitionData
-from .fans import (Cone, Fan, IntVec, hirzebruch_fan, product_p1_fan, projective_fan,
-                   ray_inverse, vec_sub)
+from .fans import (Cone, Fan, IntVec, cone_is_smooth, hirzebruch_fan, product_p1_fan,
+                   projective_fan, ray_inverse, vec_sub)
 from .laurent import LaurentMatrix, LaurentPoly, matrix_inverse_unit
 from .linalg import exact
 
 
-def _require_smooth_full(fan: Fan, cone: Cone):
+def _smooth_inverse(fan: Fan, cone: Cone):
+    """The inverse ray matrix of a cone, refused (ValueError) unless smooth and full-dimensional."""
     if cone.dim != fan.dim:
         raise ValueError("corpus generators need full-dimensional maximal cones")
+    inv = ray_inverse(tuple(fan.ray_matrix(cone)))
+    if not cone_is_smooth(fan, cone):
+        raise ValueError(f"corpus generators need smooth cones; cone {cone.ray_indices} is not")
+    return inv
 
 
 def solve_cone_weight(fan: Fan, cone_index: int, ray_values) -> IntVec:
     """The unique m with <m, v_rho> = -a_rho over the rays of one cone.
 
-    ``ray_values`` maps ray index -> integer a_rho.  Only smooth
-    full-dimensional cones give an integral solution, and we insist on one.
-    Each coordinate is made canonical (``linalg.exact``); one left a
-    Fraction raises.
+    ``ray_values`` maps ray index -> a_rho.  Only a smooth full-dimensional
+    cone is solved.  Each coordinate is made canonical (``linalg.exact``);
+    one left a Fraction, which a Fraction a_rho can give, raises.
     """
     cone = fan.cones[cone_index]
-    _require_smooth_full(fan, cone)
-    inv = ray_inverse(tuple(fan.ray_matrix(cone)))
+    inv = _smooth_inverse(fan, cone)
     values = [ray_values[k] for k in cone.ray_indices]
     m = tuple(exact(-sum(map(mul, row, values))) for row in inv)
     if not all(type(x) is int for x in m):
@@ -94,11 +97,7 @@ def diagonal_transitions(data: EquivariantData) -> TransitionData:
 
 def chart_monomial(fan: Fan, cone_index: int, rng: random.Random, bound: int = 3) -> IntVec:
     """A random exponent in the dual semigroup of a smooth full-dimensional cone."""
-    cone = fan.cones[cone_index]
-    _require_smooth_full(fan, cone)
-    inv = ray_inverse(tuple(fan.ray_matrix(cone)))
-    if not all(type(x) is int for row in inv for x in row):
-        raise ValueError("dual basis is not integral; cone is not smooth")
+    inv = _smooth_inverse(fan, fan.cones[cone_index])
     # columns of the inverse ray matrix form the dual basis of the generators;
     # one draw per basis vector, in column order
     counts = [rng.randint(0, bound) for _ in range(fan.dim)]

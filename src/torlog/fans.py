@@ -180,14 +180,6 @@ def build_fan(rays, cones, dim=None, declared_complete=False):
     return Fan(dim, tuple(fixed), cone_objs, declared_complete), warnings
 
 
-def is_face(tau: Cone, sigma: Cone, fan: Fan) -> bool:
-    """Face relation for simplicial cones: subset of ray indices."""
-    for c in (tau, sigma):
-        if not fan.has_cone(c.ray_indices):
-            raise ValueError(f"cone {c.ray_indices} does not belong to the fan")
-    return set(tau.ray_indices) <= set(sigma.ray_indices)
-
-
 @lru_cache(maxsize=256)
 def ray_inverse(rays: tuple[IntVec, ...]) -> tuple[tuple[int | Fraction, ...], ...]:
     """Exact inverse of a square integer matrix, computed once per matrix.

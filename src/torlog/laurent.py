@@ -2,7 +2,8 @@
 
 A polynomial is a finite map  exponent -> nonzero coefficient,  the exponent
 being a tuple in M and the coefficient exact: an int when it is integral,
-else a Fraction (see :func:`torlog.linalg.exact`).  Floats are refused.
+else a Fraction (see :func:`torlog.linalg.exact`).  Floats are refused, and
+an exponent entry is read with ``operator.index``, as ``build_fan`` reads a ray.
 All exponents of one polynomial have one length, the number of variables;
 a term map that mixes lengths, and a sum or product of two nonzero
 polynomials in different numbers of variables, raise DimensionError.  The
@@ -49,6 +50,9 @@ of its first exponent (``fans.vec_adder``).
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from operator import index
 
 from .fans import Cone, DimensionError, Fan, IntVec, pairing, vec_add, vec_adder
 from .linalg import Coeff, exact, exact_div
@@ -123,6 +127,9 @@ class LaurentPoly:
             lengths = set(map(len, terms))
             if len(lengths) > 1:
                 raise DimensionError(f"exponents of lengths {sorted(lengths)} in one polynomial")
+            # all-int exponents, the usual case, skip the entry-by-entry index
+            if not {int}.issuperset(map(type, chain.from_iterable(terms))):
+                terms = {tuple(map(index, exp)): c for exp, c in terms.items()}
             for exp, c in terms.items():
                 c = exact(c)
                 if c != 0:
@@ -184,7 +191,8 @@ class LaurentPoly:
         return _poly(_canonical({exp: c * v for exp, v in self.terms.items()}))
 
     def shift(self, exponent: IntVec) -> "LaurentPoly":
-        """Multiply by the monomial chi^exponent; one of another length raises DimensionError."""
+        """Times chi^exponent; another length raises DimensionError, a non-int entry TypeError."""
+        exponent = tuple(map(index, exponent))
         n = len(next(iter(self.terms), exponent))
         if len(exponent) != n:
             raise DimensionError(f"a shift of length {len(exponent)} for {n} variables")

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .fans import FanCheck
 from .laurent import LaurentMatrix, LaurentPoly
-from .linalg import Coeff
 
 _STATUS_PREFIX = {"pass": "OK", "fail": "FAIL", "undetermined": "UNDET"}
 
@@ -36,19 +35,11 @@ class Report:
         return 0
 
 
-def rational_parts(c: Coeff) -> tuple[int, int]:
-    """Numerator and positive denominator in lowest terms; an int is (c, 1).
-
-    A canonical coefficient (``linalg.exact``) carries both already.
-    """
-    return c.numerator, c.denominator
-
-
 def poly_payload(f: LaurentPoly) -> list[dict]:
     out = []
     for e in sorted(f.terms):
-        num, den = rational_parts(f.terms[e])
-        out.append({"exponent": list(e), "num": num, "den": den})
+        c = f.terms[e]
+        out.append({"exponent": list(e), "num": c.numerator, "den": c.denominator})
     return out
 
 

@@ -86,7 +86,6 @@ from .cocycles import (
     atiyah_cocycle,
     check_frame_antisymmetry,
     check_triple_identity,
-    evaluate_linear,
     reduction_holds,
     triple_passes,
     validate_transitions,
@@ -120,9 +119,6 @@ class MatrixCochain:
     fan: Fan
     rank: int
     cones: dict[int, tuple[LaurentMatrix, ...]]
-
-    def evaluate(self, cone_index: int, v: IntVec) -> LaurentMatrix:
-        return evaluate_linear(self.cones[cone_index], v, self.rank)
 
 
 @dataclass

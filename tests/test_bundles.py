@@ -19,11 +19,9 @@ from torlog.bundles import (
     connection_form,
     elementary_symmetric,
     invariant_section,
-    is_compatible,
     recover_weights,
     residue,
     residue_chern_check,
-    section_in_chart,
 )
 from torlog.corpus import line_bundle_data, random_equivariant_data, surface_fans
 from torlog.fans import (DimensionError, FanCheck, build_fan, hirzebruch_fan, product_p1_fan,
@@ -75,7 +73,7 @@ class TestEquivariantData:
 
     def test_order_is_preserved(self):
         data = quadrant_data([(5, 0), (1, 1)])
-        assert data.cone_weights(3) == ((5, 0), (1, 1))
+        assert data.weights[3] == ((5, 0), (1, 1))
 
 
 class TestCompatibility:
@@ -86,7 +84,7 @@ class TestCompatibility:
         assert checks[0].ok
 
     def test_p2_line_bundle_passes(self):
-        assert is_compatible(p2_line_data(2))
+        assert all(c.ok for c in check_compatibility(p2_line_data(2)))
 
     def test_p2_incompatible_pair_is_located(self):
         fan = projective_fan(2)
@@ -107,7 +105,7 @@ class TestCompatibility:
             {ci: ((1, 1), (0, 0)) if ci == maximal[0] else ((0, 0), (1, 1))
              for ci in maximal},
         )
-        assert is_compatible(swapped)
+        assert all(c.ok for c in check_compatibility(swapped))
         # but actually changing a restriction is caught
         bad = EquivariantData(
             fan, 2,
@@ -122,7 +120,7 @@ class TestCompatibility:
         for fan in surface_fans():
             for _ in range(5):
                 data = random_equivariant_data(fan, rng.choice([1, 2, 3]), rng)
-                assert is_compatible(data)
+                assert all(c.ok for c in check_compatibility(data))
 
 
 class TestResidue:
@@ -261,13 +259,6 @@ class TestConnectionAndSections:
             for i in range(2):
                 assert lhs.coeffs[i] == dg * f[i] + g * rhs_nabla.coeffs[i]
 
-    def test_section_in_chart(self):
-        data = line_bundle_data(projective_fan(1), 3)
-        inside = invariant_section(data, 1, 0)   # weight (0,) there
-        outside = invariant_section(data, 2, 0)  # weight (3,) against ray (-1,)
-        assert section_in_chart(data, inside)
-        assert not section_in_chart(data, outside)
-
 
 class TestChern:
     def test_elementary_symmetric_of_basis_forms(self):
@@ -300,7 +291,7 @@ class TestChern:
             fan, 2,
             {4: ((1, 0), (0, 1)), 5: ((1, -1), (0, 0)), 6: ((0, 0), (-1, 1))},
         )
-        assert is_compatible(data)
+        assert all(c.ok for c in check_compatibility(data))
         (c1, c2), checks = chern_pp(data)
         assert all(c.ok for c in checks)
         assert c1.degree == 1 and c2.degree == 2

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from torlog import corpus as corpus_mod
-from torlog.bundles import is_compatible
+from torlog.bundles import check_compatibility
 from torlog.cocycles import validate_transitions
 from torlog.corpus import (
     chart_monomial,
@@ -63,7 +63,7 @@ class TestGenerators:
             for rank in (1, 2, 3):
                 data = random_equivariant_data(fan, rank, rng)
                 assert data.rank == rank
-                assert is_compatible(data)
+                assert all(c.ok for c in check_compatibility(data))
 
     def test_line_bundle_ray_selection(self):
         fan = projective_fan(1)
@@ -189,23 +189,35 @@ class TestIntegerWeightSolve:
         with pytest.raises(ValueError, match="non-integral weight on cone 4"):
             solve_cone_weight(fan, 4, {0: Fraction(1, 2), 1: 0, 2: 0})
 
-    # messages recorded at the commit before the int solve
-    @pytest.mark.parametrize("values, message", [
-        ({0: 1, 1: 0}, "non-integral weight on cone 3: [Fraction(-1, 1), Fraction(1, 2)]"),
-        ({0: 0, 1: 1}, "non-integral weight on cone 3: [Fraction(0, 1), Fraction(-1, 2)]"),
-    ])
-    def test_non_smooth_cone_keeps_its_error(self, values, message):
+    # values whose solve on this cone is not integral: the cone is refused
+    # before the solve, with the one error both generators raise
+    @pytest.mark.parametrize("values", [{0: 1, 1: 0}, {0: 0, 1: 1}])
+    def test_non_smooth_cone_is_refused_before_the_solve(self, values):
         fan, _ = build_fan([(1, 0), (1, 2)], [(), (0,), (1,), (0, 1)])
+        message = "corpus generators need smooth cones; cone (0, 1) is not"
         with pytest.raises(ValueError) as err:
             solve_cone_weight(fan, 3, values)
         assert str(err.value) == message
-        with pytest.raises(ValueError, match="^dual basis is not integral; cone is not smooth$"):
+        with pytest.raises(ValueError) as err:
             chart_monomial(fan, 3, random.Random(1))
+        assert str(err.value) == message
 
     def test_non_smooth_cone_with_an_integral_solution(self):
+        # refused even where the solve would land on an integer weight
         fan, _ = build_fan([(1, 0), (1, 2)], [(), (0,), (1,), (0, 1)])
-        assert solve_cone_weight(fan, 3, {0: 0, 1: 0}) == (0, 0)
-        assert solve_cone_weight(fan, 3, {0: 2, 1: 2}) == (-2, 0)
+        for values in ({0: 0, 1: 0}, {0: 2, 1: 2}):
+            with pytest.raises(ValueError, match="^corpus generators need smooth cones"):
+                solve_cone_weight(fan, 3, values)
+
+    def test_weighted_projective_plane_is_refused_on_every_seed(self):
+        # P(1,1,2): the cone on (1,0) and (-1,-2) has determinant -2, and no
+        # draw of ray values may slip through it
+        fan, _ = build_fan([(1, 0), (0, 1), (-1, -2)],
+                           [(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)],
+                           declared_complete=True)
+        for seed in range(40):
+            with pytest.raises(ValueError, match="^corpus generators need smooth cones"):
+                random_equivariant_data(fan, 1, random.Random(seed))
 
     def test_non_full_dimensional_and_singular_cones_keep_their_errors(self):
         fan, _ = build_fan([(1, 0)], [(), (0,)], dim=2)

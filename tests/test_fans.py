@@ -9,13 +9,11 @@ from hypothesis import given, strategies as st
 
 from torlog import fans as fans_mod
 from torlog.fans import (
-    Cone,
     DimensionError,
     build_fan,
     cone_is_smooth,
     downward_closure,
     hirzebruch_fan,
-    is_face,
     pairing,
     primitivize,
     product_p1_fan,
@@ -75,40 +73,6 @@ class TestPrimitivize:
     def test_idempotent(self, v):
         p = primitivize(tuple(v))
         assert primitivize(p) == p
-
-
-class TestFaces:
-    def setup_method(self):
-        self.fan = projective_fan(2)
-
-    def test_zero_cone_is_face_of_all(self):
-        zero = self.fan.cones[0]
-        for c in self.fan.cones:
-            assert is_face(zero, c, self.fan)
-
-    def test_subset(self):
-        tau = self.fan.cones[self.fan.cone_index((0,))]
-        sigma = self.fan.cones[self.fan.cone_index((0, 1))]
-        assert is_face(tau, sigma, self.fan)
-
-    def test_disjoint(self):
-        tau = self.fan.cones[self.fan.cone_index((2,))]
-        sigma = self.fan.cones[self.fan.cone_index((0, 1))]
-        assert not is_face(tau, sigma, self.fan)
-
-    def test_unknown_cone(self):
-        with pytest.raises(ValueError):
-            is_face(Cone((0, 1, 2)), self.fan.cones[0], self.fan)
-
-    def test_reflexive_and_transitive(self):
-        fan = self.fan
-        for c in fan.cones:
-            assert is_face(c, c, fan)
-        for a in fan.cones:
-            for b in fan.cones:
-                for c in fan.cones:
-                    if is_face(a, b, fan) and is_face(b, c, fan):
-                        assert is_face(a, c, fan)
 
 
 class TestValidateFan:

@@ -105,6 +105,28 @@ class TestPolyAlgebra:
         with pytest.raises(TypeError, match="an int or a Fraction"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: LaurentPoly({(0.5, 1): 3}),
+        lambda: LaurentPoly({(1.0, 1): 3}),
+        lambda: LaurentPoly({(1, 0): 1, (1, "2"): 3}),
+        lambda: LaurentPoly({(Fraction(1), 0): 3}),
+        lambda: LaurentPoly({(0.5, 1): 0}),
+        lambda: X((0.5, 1)),
+        lambda: X((1, 0)).shift((0.5, 0)),
+        lambda: LaurentPoly().shift(("1",)),
+    ])
+    def test_exponent_entries_that_are_not_ints_rejected(self, make):
+        # refused where the polynomial is made, not later as a coefficient error
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make()
+
+    def test_exponent_entries_are_stored_as_ints(self):
+        p = LaurentPoly({(True, 0): 3, (0, 2): 1})
+        assert p == LaurentPoly({(1, 0): 3, (0, 2): 1})
+        assert all(type(x) is int for e in p.terms for x in e)
+        q = X((1, 2)).shift((False, True))
+        assert q == X((1, 3)) and all(type(x) is int for e in q.terms for x in e)
+
     def test_mixed_exponent_lengths_raise(self):
         with pytest.raises(DimensionError):
             LaurentPoly({(1,): 1, (1, 2): 1})

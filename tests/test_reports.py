@@ -13,17 +13,23 @@ from torlog.reports import (
     emit,
     matrix_payload,
     poly_payload,
-    rational_parts,
     render_text,
     report_payload,
 )
 
 
+def parts(c):
+    """(num, den) of the one term of c * x^0, as poly_payload writes it."""
+    (term,) = poly_payload(LaurentPoly({(0,): c}))
+    return term["num"], term["den"]
+
+
 class TestPayloads:
     def test_rationals_are_normalized(self):
-        assert rational_parts(Fraction(2, 4)) == (1, 2)
-        assert rational_parts(Fraction(-3, -6)) == (1, 2)
-        assert rational_parts(Fraction(5)) == (5, 1)
+        assert parts(Fraction(2, 4)) == (1, 2)
+        assert parts(Fraction(-3, -6)) == (1, 2)
+        assert parts(Fraction(1, -2)) == (-1, 2)
+        assert parts(Fraction(5)) == (5, 1)
 
     def test_int_coefficients_build_no_fraction(self, monkeypatch):
         p = LaurentPoly({(1, 0): 3, (0, 0): -1, (2, 1): Fraction(1, 2)})
@@ -31,7 +37,7 @@ class TestPayloads:
         new = Fraction.__new__
         monkeypatch.setattr(Fraction, "__new__",
                             lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
-        assert rational_parts(-7) == (-7, 1) and rational_parts(0) == (0, 1)
+        assert parts(-7) == (-7, 1) and poly_payload(LaurentPoly({(0,): 0})) == []
         assert [(t["num"], t["den"]) for t in poly_payload(p)] == [(-1, 1), (3, 1), (1, 2)]
         # a canonical coefficient is read as it is; not even a Fraction is wrapped again
         assert built == []

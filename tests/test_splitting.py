@@ -32,7 +32,7 @@ from torlog.corpus import (
     dressed_transitions,
     surface_fans,
 )
-from torlog.fans import DimensionError, hirzebruch_fan, product_p1_fan, projective_fan, vec_add
+from torlog.fans import hirzebruch_fan, product_p1_fan, projective_fan, vec_add
 from torlog.laurent import LaurentMatrix, LaurentPoly, chart_member, in_chart, matrix_chart_member
 from torlog.linalg import exact_div
 from torlog.splitting import (
@@ -189,15 +189,6 @@ class TestVerifySplitting:
             g.fan, g.rank,
             {ci: tuple(M + I.scale(4) for M in mats) for ci, mats in g.cones.items()})
         assert verify_splitting(shifted, A, td)
-
-
-    def test_evaluate_rejects_a_vector_of_another_length(self):
-        _, td, A = p1_setup(3)
-        g = split_cocycle(A, td).cochain
-        assert g.evaluate(1, (2,)) == g.cones[1][0].scale(2)
-        for v in [(), (2, 0)]:
-            with pytest.raises(DimensionError):
-                g.evaluate(1, v)
 
 
 class TestEquivariantSplitting:
